@@ -69,7 +69,7 @@ class BucketGrid {
         for (std::uint32_t i = offsets_[cell_index];
              i < offsets_[cell_index + 1]; ++i) {
           const NodeId point = points_[i];
-          const Hop d = lattice_->distance(center, point);
+          const Hop d = lattice_->distance_from(c, point);
           if (d <= r) fn(point, d);
         }
       }

@@ -18,8 +18,9 @@ NearestResult nearest_on(const TopologyT& topology,
   NearestResult result;
   Hop best = sentinel;
   ReservoirOne reservoir(rng);
+  const auto distance = detail::distances_from(topology, u);
   for (const NodeId v : list) {
-    const Hop d = topology.distance(u, v);
+    const Hop d = distance(v);
     if (d < best) {
       best = d;
       reservoir = ReservoirOne(rng);  // restart ties at the new minimum
@@ -88,17 +89,68 @@ NearestResult ReplicaIndex::nearest_by_shells(NodeId u, FileId j,
   return result;  // no replica anywhere
 }
 
+NearestResult ReplicaIndex::nearest_by_replay(NodeId u, FileId j,
+                                              Rng& rng) const {
+  if (lattice_ == nullptr) return nearest_by_shells(u, j, rng);
+  const auto list = placement_->replicas(j);
+  if (list.empty()) return NearestResult{};  // the walk draws nothing either
+
+  // Draw-free pass: the first non-empty shell d* and its members. The walk
+  // makes no draw before d*, so nothing here has to be replayed.
+  NodeId ties[kReplayTies];
+  std::size_t count = 0;
+  Hop best = kUnboundedRadius;
+  const auto distance = detail::distances_from(*lattice_, u);
+  for (const NodeId v : list) {
+    const Hop d = distance(v);
+    if (d > best) continue;
+    if (d < best) {
+      best = d;
+      count = 0;
+    }
+    if (count < kReplayTies) ties[count] = v;
+    ++count;
+  }
+  if (count > kReplayTies) return nearest_by_shells(u, j, rng);
+
+  // The walk's draws: one offer per member of shell d*, in enumeration
+  // order. A single member needs no order.
+  ReservoirOne reservoir(rng);
+  if (count == 1) {
+    reservoir.offer(ties[0]);
+  } else {
+    const std::span<const NodeId> members(ties, count);
+    for_each_at_distance(*lattice_, u, best, [&](NodeId v) {
+      if (std::find(members.begin(), members.end(), v) != members.end()) {
+        reservoir.offer(v);
+      }
+    });
+  }
+  PROXCACHE_CHECK(reservoir.count() == count,
+                  "shell replay missed a tie of the list scan");
+  NearestResult result;
+  result.server = *reservoir.value();
+  result.distance = best;
+  result.ties = static_cast<std::uint32_t>(count);
+  return result;
+}
+
 NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
   const std::size_t replicas = placement_->replica_count(j);
   if (replicas == 0) return NearestResult{};
-  // List scan costs ~|S_j| distance evaluations; the shell scan visits
+  // List scan costs ~|S_j| distance evaluations; the shell walk visits
   // ~n/|S_j| nodes before the first hit. Crossover at |S_j|² ≈ n — but
   // only where shells enumerate directly; on scan-based topologies every
-  // shell is itself O(n), so the list scan always wins there.
+  // shell is itself O(n), so the list scan always wins there. Past the
+  // crossover the lattice replays the walk's draws from a list scan while
+  // that scan is still the cheaper pass (kReplayDensity).
   const std::size_t n = topology_->size();
-  if (replicas * replicas <= n ||
-      !topology_->directly_enumerates_shells()) {
+  const std::size_t density = replicas * replicas;
+  if (density <= n || !topology_->directly_enumerates_shells()) {
     return nearest_by_scan(u, j, rng);
+  }
+  if (lattice_ != nullptr && density <= kReplayDensity * n) {
+    return nearest_by_replay(u, j, rng);
   }
   return nearest_by_shells(u, j, rng);
 }

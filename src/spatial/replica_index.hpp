@@ -5,19 +5,37 @@
 /// query layer all allocation strategies are built on, and it works over
 /// any `Topology` (topology/topology.hpp).
 ///
-/// Two complementary algorithms answer nearest-replica queries:
+/// Three paths answer nearest-replica queries, all exact:
 ///
 ///  * **replica-list scan** — O(|S_j|): walk the file's replica list,
-///    tracking the minimum distance (reservoir-sampled among ties);
-///  * **expanding-shell scan** — O(|B_d*|·log M): walk shells of increasing
-///    distance around the requester until the first shell containing a
-///    replica (then finish that shell for ties).
+///    tracking the minimum distance (reservoir-sampled among ties, the
+///    reservoir restarting at every new minimum);
+///  * **expanding-shell walk** — O(|B_d*|·log M): walk shells of increasing
+///    distance around the requester until the first shell d* containing a
+///    replica, testing every node with `Placement::caches` (a binary
+///    search), and finish that shell for ties;
+///  * **shell replay** (lattices only) — O(|S_j|): the walk's exact draws
+///    from one list scan. The walk draws only in shell d*: one
+///    `ReservoirOne::offer` per replica there, in `for_each_at_distance`
+///    order. A draw-free list scan finds d* and its tie set; the replay then
+///    offers a single tie directly, or walks shell d* alone and offers the
+///    tie-set members in enumeration order. Same server, distance, tie count
+///    and Rng state as the walk. A tie set larger than the scan's stack
+///    buffer falls back to the walk.
 ///
-/// The first wins when replicas are sparse, the second when they are dense;
-/// `nearest()` picks automatically (`|S_j|² ≶ n` crossover). Both are exact
-/// and tests cross-validate them. Radius streams use the replica list or a
+/// `nearest()` picks by density. `|S_j|² <= n`: the list scan (its draws
+/// differ from the walk's, and the golden masters lock that choice). Above
+/// that, on lattices, the replay up to `|S_j|² <= kReplayDensity·n`, where
+/// its ~|S_j| distance evaluations still undercut the walk's ~n/|S_j|
+/// binary searches; denser files walk. Topologies without direct shell
+/// enumeration always scan. Tests cross-validate the paths, the replay
+/// against the walk draw for draw. Radius streams use the replica list or a
 /// per-file bucket grid (built for files with large `|S_j|` — lattice
 /// topologies only; the grid is a coordinate structure).
+///
+/// On lattices every scan resolves the origin's coordinate once
+/// (`Lattice::distance_from`), so each replica costs one coordinate
+/// division.
 
 #include <cstdint>
 #include <memory>
@@ -42,6 +60,22 @@ struct NearestResult {
   std::uint32_t ties = 0;        ///< number of equidistant candidates
 };
 
+namespace detail {
+
+/// The distance kernel of a scan from origin `u`: on a lattice the origin's
+/// coordinate is resolved once, elsewhere it is the topology's `distance`.
+inline auto distances_from(const Lattice& lattice, NodeId u) {
+  return [&lattice, pu = lattice.coord(u)](NodeId v) {
+    return lattice.distance_from(pu, v);
+  };
+}
+
+inline auto distances_from(const Topology& topology, NodeId u) {
+  return [&topology, u](NodeId v) { return topology.distance(u, v); };
+}
+
+}  // namespace detail
+
 /// Spatial query index bound to one (topology, placement) pair. Holds
 /// references; the topology and placement must outlive the index.
 class ReplicaIndex {
@@ -62,8 +96,26 @@ class ReplicaIndex {
   /// Nearest replica via the replica-list scan (always exact).
   NearestResult nearest_by_scan(NodeId u, FileId j, Rng& rng) const;
 
-  /// Nearest replica via the expanding-shell scan (always exact).
+  /// Nearest replica via the expanding-shell walk (always exact).
   NearestResult nearest_by_shells(NodeId u, FileId j, Rng& rng) const;
+
+  /// The walk's result and draws from a list scan (lattices; elsewhere,
+  /// and when the tie set overflows, the walk itself). Equal to
+  /// `nearest_by_shells` in every field and in the Rng state it leaves.
+  NearestResult nearest_by_replay(NodeId u, FileId j, Rng& rng) const;
+
+  /// `nearest()` replays the walk for lattice files with
+  /// `n < |S_j|² <= kReplayDensity·n` and walks denser ones. Measured per
+  /// query on a 4-core Xeon (tori of side 45, 100 and 150, uniform
+  /// placement and origins): the walk overtakes the replay at
+  /// |S_j|² ≈ 6–8n with M = 2, ≈ 9–10n with M = 5 and past 11n with
+  /// M = 10, where each `caches` probe costs more. At |S_j|² ∈ (5n, 6n]
+  /// the replay still won every configuration, by 10% or more.
+  static constexpr std::size_t kReplayDensity = 6;
+
+  /// Largest tie set the replay holds in its stack buffer (the index is
+  /// shared by concurrent propose lanes, so it owns no scratch).
+  static constexpr std::size_t kReplayTies = 32;
 
   /// Invoke `fn(NodeId replica, Hop distance)` for every replica of `j`
   /// within distance `r` of `u` (including `u` itself if it caches `j`).
@@ -109,14 +161,16 @@ class ReplicaIndex {
 
  private:
   /// One copy of the replica-list scan, instantiated for the concrete
-  /// lattice type (devirtualized distance — Lattice is final) and for the
-  /// generic Topology. `r = kUnboundedRadius` admits every replica.
+  /// lattice type (devirtualized, origin resolved once — Lattice is final)
+  /// and for the generic Topology. `r = kUnboundedRadius` admits every
+  /// replica.
   template <typename TopologyT, typename Fn>
   static void scan_replicas_on(const TopologyT& topology,
                                std::span<const NodeId> list, NodeId u, Hop r,
                                Fn&& fn) {
+    const auto distance = detail::distances_from(topology, u);
     for (const NodeId v : list) {
-      const Hop d = topology.distance(u, v);
+      const Hop d = distance(v);
       if (r == kUnboundedRadius || d <= r) fn(v, d);
     }
   }

@@ -1,11 +1,39 @@
 #include "strategy/prox_weighted.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "util/contracts.hpp"
 
 namespace proxcache {
+
+namespace {
+
+/// The nearest candidate not yet `picked`, uniform among equal distances.
+std::uint32_t nearest_unpicked(const ProposedCandidate* candidates,
+                               std::uint32_t count,
+                               std::span<const std::uint32_t> picked,
+                               Rng& rng) {
+  std::uint32_t winner = count;
+  Hop best = 0;
+  std::uint32_t ties = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (std::find(picked.begin(), picked.end(), i) != picked.end()) continue;
+    const Hop d = candidates[i].hops;
+    if (ties == 0 || d < best) {
+      winner = i;
+      best = d;
+      ties = 1;
+    } else if (d == best && rng.below(++ties) == 0) {
+      winner = i;
+    }
+  }
+  return winner;
+}
+
+}  // namespace
 
 ProxWeightedStrategy::ProxWeightedStrategy(const ReplicaIndex& index,
                                            ProxWeightedOptions options)
@@ -13,6 +41,13 @@ ProxWeightedStrategy::ProxWeightedStrategy(const ReplicaIndex& index,
   PROXCACHE_REQUIRE(options.num_choices >= 1 && options.num_choices <= 8,
                     "num_choices must be in [1, 8]");
   PROXCACHE_REQUIRE(options.alpha >= 0.0, "alpha must be >= 0");
+  const Hop top = std::min(index.topology().diameter(), kWeightTableHops);
+  weights_.resize(static_cast<std::size_t>(top) + 1);
+  for (Hop d = 0; d <= top; ++d) weights_[d] = pow_weight(d);
+}
+
+double ProxWeightedStrategy::pow_weight(Hop d) const {
+  return std::pow(1.0 + static_cast<double>(d), -options_.alpha);
 }
 
 std::string ProxWeightedStrategy::name() const {
@@ -25,27 +60,23 @@ std::string ProxWeightedStrategy::name() const {
 void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
                                    CandidateArena& arena, Proposal& out) {
   (void)rng;  // weight computation is deterministic; draws happen in choose
-  const Topology& topology = index_->topology();
-  const auto replicas = index_->placement().replicas(request.file);
-  const std::size_t count = replicas.size();
-  PROXCACHE_CHECK(count > 0,
-                  "uncached file reached the strategy; "
-                  "sanitize_trace must run first");
 
   // Weight every replica by (1 + dist)^-alpha; the +1 keeps a co-located
-  // replica (dist 0) at finite weight. The left-to-right summation order
-  // matches the historical pass, so `total_weight` is the bit-identical
-  // double.
+  // replica (dist 0) at finite weight. The unbounded stream is the replica
+  // list in order, so the left-to-right sum is the historical pass's
+  // bit-identical `total_weight`.
   out.first = static_cast<std::uint32_t>(arena.size());
   double total = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Hop d = topology.distance(request.origin, replicas[i]);
-    const double w =
-        std::pow(1.0 + static_cast<double>(d), -options_.alpha);
-    arena.push_back({replicas[i], d, w});
-    total += w;
-  }
-  out.count = static_cast<std::uint32_t>(count);
+  index_->for_each_replica_within(request.origin, request.file,
+                                  kUnboundedRadius, [&](NodeId v, Hop d) {
+                                    const double w = weight(d);
+                                    arena.push_back({v, d, w});
+                                    total += w;
+                                  });
+  out.count = static_cast<std::uint32_t>(arena.size()) - out.first;
+  PROXCACHE_CHECK(out.count > 0,
+                  "uncached file reached the strategy; "
+                  "sanitize_trace must run first");
   out.total_weight = total;
 }
 
@@ -66,6 +97,7 @@ Assignment ProxWeightedStrategy::choose(const Request& request,
   const std::uint32_t count = proposal.count;
   double total = proposal.total_weight;
   const std::uint32_t want = std::min(options_.num_choices, count);
+  std::uint32_t picked[8];
   NodeId chosen = kInvalidNode;
   Hop chosen_hops = 0;
   Load best = 0;
@@ -79,7 +111,11 @@ Assignment ProxWeightedStrategy::choose(const Request& request,
       u -= candidates[i].weight;
       if (u < 0.0) break;
     }
-    PROXCACHE_CHECK(winner < count, "weighted draw found no candidate");
+    if (winner == count) {
+      // Every remaining weight underflowed to 0.0.
+      winner = nearest_unpicked(candidates, count, {picked, pick}, rng);
+    }
+    picked[pick] = winner;
     total -= candidates[winner].weight;
     candidates[winner].weight = 0.0;
 

@@ -16,6 +16,8 @@
 /// cached file has at least one replica after sanitization, this strategy
 /// never needs a fallback path.
 
+#include <vector>
+
 #include "core/strategy.hpp"
 #include "spatial/replica_index.hpp"
 
@@ -32,8 +34,21 @@ struct ProxWeightedOptions {
 /// and weights (the O(|S_j|) part, RNG-free); `choose` runs the whole
 /// d-pick loop, whose candidate draws and tie-break draws interleave per
 /// pick and therefore must stay together on one stream.
+///
+/// Weights come from a table of `(1+d)^-alpha` per hop value, filled with
+/// the same `std::pow` doubles at construction. Once `(1+d)^-alpha`
+/// underflows to 0.0 (alpha = 64 reaches it near d ≈ 114,000), a pick
+/// that finds no positive weight left takes the nearest remaining
+/// candidate, uniform among equal distances: the limit of the weighted
+/// draw.
 class ProxWeightedStrategy final : public SplitPhaseStrategy {
  public:
+  /// Largest hop value the weight table holds: the largest torus diameter
+  /// (side 8192). Longer distances — a long ring or grid, or a landmark
+  /// upper bound on a sparse graph, which may exceed `diameter()` — fall
+  /// back to `std::pow`.
+  static constexpr Hop kWeightTableHops = 8192;
+
   ProxWeightedStrategy(const ReplicaIndex& index, ProxWeightedOptions options);
 
   void propose(const Request& request, Rng& rng, CandidateArena& arena,
@@ -51,8 +66,15 @@ class ProxWeightedStrategy final : public SplitPhaseStrategy {
   }
 
  private:
+  /// `(1 + d)^-alpha`, from the table when `d` is in it.
+  [[nodiscard]] double weight(Hop d) const {
+    return d < weights_.size() ? weights_[d] : pow_weight(d);
+  }
+  [[nodiscard]] double pow_weight(Hop d) const;
+
   const ReplicaIndex* index_;
   ProxWeightedOptions options_;
+  std::vector<double> weights_;  ///< weights_[d] = (1 + d)^-alpha
 };
 
 }  // namespace proxcache

@@ -72,12 +72,6 @@ Lattice Lattice::from_node_count(std::size_t n, Wrap wrap) {
   return Lattice(side, wrap);
 }
 
-Point Lattice::coord(NodeId u) const {
-  PROXCACHE_REQUIRE(u < size(), "node id out of range");
-  return Point{static_cast<std::int32_t>(u % static_cast<NodeId>(side_)),
-               static_cast<std::int32_t>(u / static_cast<NodeId>(side_))};
-}
-
 NodeId Lattice::node(Point p) const {
   PROXCACHE_REQUIRE(p.x >= 0 && p.x < side_ && p.y >= 0 && p.y < side_,
                     "coordinate out of bounds");
@@ -94,19 +88,6 @@ NodeId Lattice::node_wrapped(Point p) const {
     return a;
   };
   return node(Point{reduce(p.x), reduce(p.y)});
-}
-
-std::int32_t Lattice::axis_distance(std::int32_t a, std::int32_t b) const {
-  const std::int32_t direct = std::abs(a - b);
-  if (wrap_ == Wrap::Grid) return direct;
-  return std::min(direct, side_ - direct);
-}
-
-Hop Lattice::distance(NodeId u, NodeId v) const {
-  const Point pu = coord(u);
-  const Point pv = coord(v);
-  return static_cast<Hop>(axis_distance(pu.x, pv.x) +
-                          axis_distance(pu.y, pv.y));
 }
 
 Hop Lattice::diameter() const {

@@ -15,12 +15,15 @@
 /// public for the analyses that are genuinely lattice-bound (Voronoi cells,
 /// the configuration graph, the bucket grid).
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "topology/point.hpp"
 #include "topology/topology.hpp"
+#include "util/contracts.hpp"
 #include "util/types.hpp"
 
 namespace proxcache {
@@ -59,7 +62,12 @@ class Lattice final : public Topology {
   [[nodiscard]] Wrap wrap() const { return wrap_; }
 
   /// Coordinate of a node id.
-  [[nodiscard]] Point coord(NodeId u) const;
+  [[nodiscard]] Point coord(NodeId u) const {
+    PROXCACHE_REQUIRE(u < size(), "node id out of range");
+    const auto side = static_cast<NodeId>(side_);
+    return Point{static_cast<std::int32_t>(u % side),
+                 static_cast<std::int32_t>(u / side)};
+  }
 
   /// Node id of an in-bounds coordinate.
   [[nodiscard]] NodeId node(Point p) const;
@@ -69,7 +77,18 @@ class Lattice final : public Topology {
   [[nodiscard]] NodeId node_wrapped(Point p) const;
 
   /// Hop (shortest-path) distance between two nodes.
-  [[nodiscard]] Hop distance(NodeId u, NodeId v) const override;
+  [[nodiscard]] Hop distance(NodeId u, NodeId v) const override {
+    return distance_from(coord(u), v);
+  }
+
+  /// Hop distance from an already resolved coordinate `pu` to node `v`:
+  /// the distance kernel. Scans from one origin resolve `coord(u)` once
+  /// and pay a single coordinate division per node visited.
+  [[nodiscard]] Hop distance_from(Point pu, NodeId v) const {
+    const Point pv = coord(v);
+    return static_cast<Hop>(axis_distance(pu.x, pv.x) +
+                            axis_distance(pu.y, pv.y));
+  }
 
   /// Largest possible hop distance between any two nodes (the diameter).
   [[nodiscard]] Hop diameter() const override;
@@ -113,7 +132,12 @@ class Lattice final : public Topology {
 
  private:
   /// Per-axis ring (torus) or line (grid) distance.
-  [[nodiscard]] std::int32_t axis_distance(std::int32_t a, std::int32_t b) const;
+  [[nodiscard]] std::int32_t axis_distance(std::int32_t a,
+                                           std::int32_t b) const {
+    const std::int32_t direct = std::abs(a - b);
+    if (wrap_ == Wrap::Grid) return direct;
+    return std::min(direct, side_ - direct);
+  }
 
   /// Number of axis offsets at ring distance exactly `a` (torus only).
   [[nodiscard]] std::int32_t torus_axis_multiplicity(std::int32_t a) const;

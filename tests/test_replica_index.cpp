@@ -1,7 +1,7 @@
-// Tests for spatial/replica_index: the two nearest-replica algorithms must
-// agree with each other and with brute force (distance and tie count), and
-// radius streams must match the distance predicate with and without bucket
-// grids.
+// Tests for spatial/replica_index: the nearest-replica paths must agree with
+// each other and with brute force (distance and tie count), the shell
+// replay must equal the shell walk draw for draw, and radius streams must
+// match the distance predicate with and without bucket grids.
 #include "spatial/replica_index.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,30 @@
 
 namespace proxcache {
 namespace {
+
+/// A two-file placement: every node caches file 0, and file 1 sits exactly
+/// on `holders`. Composed from one-node parts, so a test can lay out a tie
+/// set of any shape.
+Placement placement_with_holders(std::size_t n,
+                                 const std::vector<NodeId>& holders) {
+  Rng rng(1);
+  // Zipf with a huge exponent puts all the mass on file 0.
+  const Placement file0_only =
+      Placement::generate(1, Popularity::zipf(2, 60.0), 1,
+                          PlacementMode::DistinctProportional, rng);
+  const Placement both =
+      Placement::full(1, 2, PlacementMode::DistinctProportional);
+  std::vector<Placement> parts(n, file0_only);
+  for (const NodeId v : holders) parts[v] = both;
+  return Placement::compose(parts);
+}
+
+/// `a` and `b` agree in every field of the result.
+void expect_same_nearest(const NearestResult& a, const NearestResult& b) {
+  EXPECT_EQ(a.server, b.server);
+  EXPECT_EQ(a.distance, b.distance);
+  EXPECT_EQ(a.ties, b.ties);
+}
 
 struct Fixture {
   Fixture(std::size_t n, std::size_t k, std::size_t m, Wrap wrap,
@@ -67,14 +91,17 @@ TEST_P(ReplicaIndexParamTest, BothAlgorithmsMatchBruteForce) {
       const BruteNearest expected = brute_nearest(f, u, j);
       const NearestResult by_scan = f.index.nearest_by_scan(u, j, rng);
       const NearestResult by_shells = f.index.nearest_by_shells(u, j, rng);
+      const NearestResult by_replay = f.index.nearest_by_replay(u, j, rng);
       const NearestResult automatic = f.index.nearest(u, j, rng);
       if (!expected.found) {
         EXPECT_EQ(by_scan.server, kInvalidNode);
         EXPECT_EQ(by_shells.server, kInvalidNode);
+        EXPECT_EQ(by_replay.server, kInvalidNode);
         EXPECT_EQ(automatic.server, kInvalidNode);
         continue;
       }
-      for (const NearestResult& result : {by_scan, by_shells, automatic}) {
+      for (const NearestResult& result :
+           {by_scan, by_shells, by_replay, automatic}) {
         ASSERT_NE(result.server, kInvalidNode);
         EXPECT_EQ(result.distance, expected.distance);
         EXPECT_EQ(result.ties, expected.ties);
@@ -93,6 +120,105 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(std::get<0>(info.param)) + "_M" +
              std::to_string(std::get<1>(info.param));
     });
+
+// The replay must reproduce the walk draw for draw: same server, distance
+// and ties, and the Rng left in the same state (checked on its next
+// bits()). Comparing results alone would let a reordered draw through.
+// `nearest()` must likewise equal the scan at |S_j|² <= n and the walk
+// above it, which is what keeps the golden masters unchanged.
+class ReplayParamTest
+    : public ::testing::TestWithParam<std::tuple<Wrap, int, int>> {};
+
+TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
+  const auto [wrap, side, m] = GetParam();
+  const auto n =
+      static_cast<std::size_t>(side) * static_cast<std::size_t>(side);
+  Fixture f(n, 12, static_cast<std::size_t>(m), wrap, 91 + side);
+  Rng stream(17);
+  std::size_t multi_ties = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (FileId j = 0; j < 12; ++j) {
+      stream.bits();
+      Rng walk_rng = stream;
+      Rng replay_rng = stream;
+      const NearestResult walk = f.index.nearest_by_shells(u, j, walk_rng);
+      const NearestResult replay = f.index.nearest_by_replay(u, j, replay_rng);
+      expect_same_nearest(replay, walk);
+      EXPECT_EQ(replay_rng.bits(), walk_rng.bits()) << "u=" << u << " j=" << j;
+      if (walk.ties >= 2) ++multi_ties;
+
+      const std::size_t replicas = f.placement.replica_count(j);
+      Rng reference_rng = stream;
+      Rng automatic_rng = stream;
+      const NearestResult reference =
+          replicas * replicas <= n
+              ? f.index.nearest_by_scan(u, j, reference_rng)
+              : f.index.nearest_by_shells(u, j, reference_rng);
+      const NearestResult automatic = f.index.nearest(u, j, automatic_rng);
+      expect_same_nearest(automatic, reference);
+      EXPECT_EQ(automatic_rng.bits(), reference_rng.bits())
+          << "u=" << u << " j=" << j;
+    }
+  }
+  if (side >= 7) {
+    EXPECT_GT(multi_ties, 0u) << "no tie set was exercised";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WrapSideAndCache, ReplayParamTest,
+    ::testing::Combine(::testing::Values(Wrap::Torus, Wrap::Grid),
+                       ::testing::Values(1, 2, 3, 4, 7, 8, 15, 16),
+                       ::testing::Values(1, 3, 8)),
+    [](const auto& info) {
+      return to_string(std::get<0>(info.param)) + "_side" +
+             std::to_string(std::get<1>(info.param)) + "_M" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST(ReplicaIndex, ReplayFallsBackToTheWalkWhenTiesOverflow) {
+  // File 1 on the whole shell at distance 9 around the center of a side-20
+  // lattice: 36 ties, more than the replay's stack buffer holds, and 36² is
+  // inside the replay's density band, so nearest() takes the replay too.
+  // The first kReplayTies of them fill the buffer exactly.
+  constexpr std::int32_t kSide = 20;
+  constexpr Hop kRadius = 9;
+  for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
+    const Lattice lattice(kSide, wrap);
+    const NodeId center = lattice.node(Point{kSide / 2, kSide / 2});
+    const std::vector<NodeId> shell = collect_shell(lattice, center, kRadius);
+    ASSERT_GT(shell.size(), ReplicaIndex::kReplayTies);
+    const std::vector<NodeId> full_buffer(
+        shell.begin(), shell.begin() + ReplicaIndex::kReplayTies);
+    for (const auto& holders : {shell, full_buffer}) {
+      const Placement placement =
+          placement_with_holders(lattice.size(), holders);
+      std::vector<NodeId> sorted = holders;
+      std::sort(sorted.begin(), sorted.end());
+      const auto replicas = placement.replicas(1);
+      ASSERT_EQ(std::vector<NodeId>(replicas.begin(), replicas.end()), sorted);
+      const std::size_t density = holders.size() * holders.size();
+      ASSERT_GT(density, lattice.size());
+      ASSERT_LE(density, ReplicaIndex::kReplayDensity * lattice.size());
+
+      const ReplicaIndex index(lattice, placement);
+      for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        Rng walk_rng(seed);
+        Rng replay_rng(seed);
+        Rng automatic_rng(seed);
+        const NearestResult walk = index.nearest_by_shells(center, 1, walk_rng);
+        EXPECT_EQ(walk.ties, holders.size());
+        EXPECT_EQ(walk.distance, kRadius);
+        expect_same_nearest(index.nearest_by_replay(center, 1, replay_rng),
+                            walk);
+        expect_same_nearest(index.nearest(center, 1, automatic_rng), walk);
+        const std::uint64_t next = walk_rng.bits();
+        EXPECT_EQ(replay_rng.bits(), next);
+        EXPECT_EQ(automatic_rng.bits(), next);
+      }
+    }
+  }
+}
 
 TEST(ReplicaIndex, TieBreakingIsUniformAcrossReplicas) {
   // Symmetric layout: two replicas equidistant from the requester.

@@ -1,18 +1,25 @@
 // Tests for the strategy registry (strategy/registry.hpp): catalog
 // contents, spec validation (unknown names/keys, out-of-range values),
 // factory wiring, and behavioral sanity of the two extension strategies
-// the open API enables.
+// the open API enables (including prox-weighted's weight table and its
+// underflow limit).
 #include "strategy/registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
 #include "scenario/registry.hpp"
 #include "strategy/least_loaded.hpp"
 #include "strategy/prox_weighted.hpp"
+#include "topology/graph_topology.hpp"
+#include "topology/ring.hpp"
 
 namespace proxcache {
 namespace {
@@ -406,6 +413,122 @@ TEST(ProxWeightedStrategy, SingleChoiceServesEveryRequest) {
   EXPECT_EQ(result.requests, config.num_nodes);
   EXPECT_EQ(result.dropped, 0u);
   EXPECT_EQ(result.fallbacks, 0u);
+}
+
+// Every proposal weight must be the std::pow double itself, whether it
+// comes from the weight table or, past it, from std::pow: hops above the
+// table (a ring longer than it) and above diameter() (a landmark upper
+// bound on a sparse graph) included.
+TEST(ProxWeightedStrategy, ProposalWeightsAreStdPowBitForBit) {
+  const RingTopology ring(2 * ProxWeightedStrategy::kWeightTableHops + 3000);
+  ASSERT_GT(ring.diameter(), ProxWeightedStrategy::kWeightTableHops);
+  // One landmark and a small budget ball: most answers are landmark sums
+  // d(u, L) + d(L, v), some of them above the certified diameter.
+  GraphTopology::Options sparse;
+  sparse.num_landmarks = 1;
+  sparse.distance_ball_budget = 256;
+  const auto rgg = make_rgg_topology(4500, 0.03, 1, sparse);
+  ASSERT_GT(rgg->size(), GraphTopology::Options{}.dense_threshold);
+  ASSERT_FALSE(rgg->oracle().exact());
+
+  for (const Topology* topology : {static_cast<const Topology*>(&ring),
+                                   static_cast<const Topology*>(rgg.get())}) {
+    Rng rng(3);
+    const Placement placement = Placement::generate(
+        topology->size(), Popularity::uniform(8), 1,
+        PlacementMode::ProportionalWithReplacement, rng);
+    const ReplicaIndex index(*topology, placement);
+    std::size_t above_table = 0;
+    std::size_t above_diameter = 0;
+    for (const double alpha : {1.0, 2.5}) {
+      ProxWeightedStrategy strategy(index, {.num_choices = 2, .alpha = alpha});
+      CandidateArena arena;
+      for (NodeId origin = 0; origin < topology->size(); origin += 461) {
+        const Request request{origin, origin % 8};
+        Proposal proposal;
+        strategy.propose(request, rng, arena, proposal);
+        ASSERT_EQ(proposal.count, placement.replica_count(request.file));
+        for (std::uint32_t i = 0; i < proposal.count; ++i) {
+          const ProposedCandidate& c = arena[proposal.first + i];
+          const double expected =
+              std::pow(1.0 + static_cast<double>(c.hops), -alpha);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(c.weight),
+                    std::bit_cast<std::uint64_t>(expected))
+              << topology->describe() << " hops=" << c.hops;
+          if (c.hops > ProxWeightedStrategy::kWeightTableHops) ++above_table;
+          if (c.hops > topology->diameter()) ++above_diameter;
+        }
+      }
+    }
+    if (topology == &ring) {
+      EXPECT_GT(above_table, 0u) << "no hop beyond the weight table";
+    } else {
+      EXPECT_GT(above_diameter, 0u) << "no landmark answer above diameter()";
+    }
+  }
+}
+
+// Regression: with alpha = 64, (1+d)^-alpha underflows to exactly 0.0 for
+// replicas past d ≈ 114,000, which a long ring reaches. Once the positive
+// weights are drawn, the next pick must take the nearest remaining
+// candidate (uniform among equal distances) instead of failing "weighted
+// draw found no candidate".
+TEST(ProxWeightedStrategy, UnderflowedWeightsDrawTheNearestRemaining) {
+  const Lattice lattice(5, Wrap::Torus);
+  Rng placement_rng(1);
+  const Placement placement = Placement::generate(
+      lattice.size(), Popularity::uniform(4), 2,
+      PlacementMode::ProportionalWithReplacement, placement_rng);
+  const ReplicaIndex index(lattice, placement);
+  const ProxWeightedStrategy strategy(index, {.num_choices = 2, .alpha = 64});
+  const double near_weight = std::pow(4.0, -64.0);  // hops 3
+
+  // Node 0 is the only positive weight and the busiest; node 3 is the
+  // nearer of the underflowed candidates, so every draw serves it.
+  std::vector<Load> loads(lattice.size(), 0);
+  loads[0] = 5;
+  const VectorLoadView view(loads);
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    CandidateArena arena = {{0, 3, near_weight}, {1, 9, 0.0}, {3, 7, 0.0}};
+    Proposal proposal;
+    proposal.count = 3;
+    proposal.total_weight = near_weight;
+    Rng rng(seed);
+    const Assignment served = strategy.choose({}, proposal, arena, view, rng);
+    EXPECT_EQ(served.server, 3u);
+    EXPECT_EQ(served.hops, 7u);
+  }
+
+  // Two underflowed candidates at equal distance: uniform between them,
+  // never the farther one.
+  std::map<NodeId, int> histogram;
+  constexpr int kTrials = 2000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    CandidateArena arena = {
+        {0, 3, near_weight}, {1, 7, 0.0}, {2, 9, 0.0}, {3, 7, 0.0}};
+    Proposal proposal;
+    proposal.count = 4;
+    proposal.total_weight = near_weight;
+    Rng rng(static_cast<std::uint64_t>(trial));
+    histogram[strategy.choose({}, proposal, arena, view, rng).server]++;
+  }
+  ASSERT_EQ(histogram.size(), 2u);
+  EXPECT_NEAR(histogram[1] / static_cast<double>(kTrials), 0.5, 0.05);
+  EXPECT_NEAR(histogram[3] / static_cast<double>(kTrials), 0.5, 0.05);
+}
+
+// The same end to end: on a 240k-node ring with ~2 replicas per file, a
+// replica past d ≈ 114,000 has weight 0.0 in about one request in ten.
+TEST(ProxWeightedStrategy, LongRingAtAlpha64ServesEveryRequest) {
+  ExperimentConfig config;
+  config.topology_spec = parse_topology_spec("ring(n=240000)");
+  config.num_files = 120000;
+  config.cache_size = 1;
+  config.num_requests = 2000;
+  config.strategy_spec = parse_strategy_spec("prox-weighted(d=2, alpha=64)");
+  const RunResult result = run_simulation(config, 0);
+  EXPECT_EQ(result.requests, config.num_requests);
+  EXPECT_EQ(result.dropped, 0u);
 }
 
 // --- Spec canonicalization invariance ------------------------------------
