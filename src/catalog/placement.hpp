@@ -5,15 +5,20 @@
 /// In the paper's placement phase each of the `n` servers independently
 /// caches `M` files drawn from the popularity law **with replacement**
 /// ("proportional placement"); duplicates occupy slots but only the distinct
-/// set matters for serving. This module materializes a placement as
+/// set matters for serving. This module materializes a placement as two
+/// CSR views (offsets plus one flat array each):
 ///
-///   * per-node sorted distinct file lists (CSR layout), and
-///   * per-file replica lists `S_j` (the nodes that cached file j),
+///   * per-node sorted distinct file lists, and
+///   * per-file sorted replica lists `S_j` (the nodes that cached file j),
 ///
 /// which are the two access paths everything else (nearest-replica search,
 /// two-choice candidate sampling, configuration graph, goodness statistics)
-/// is built on. A distinct-sampling mode is kept as an ablation of the
-/// design decision called out in DESIGN.md.
+/// is built on. `generate`, `full` and `compose` build only the node lists;
+/// one counting pass over them fills the replica lists. Both views index
+/// with `uint32_t` offsets, so a placement holds at most 2³²−1 (node, file)
+/// entries: the builders reject `n·min(M, K)` past that before allocating.
+/// A distinct-sampling mode is kept as an ablation
+/// (`bench/ablation_placement.cpp`; see `docs/architecture.md`).
 
 #include <cstdint>
 #include <span>
@@ -46,29 +51,33 @@ std::string to_string(PlacementMode mode);
 class Placement {
  public:
   /// Sample a placement for `num_nodes` servers with `cache_size` slots per
-  /// node. Deterministic given `rng` state.
+  /// node. Deterministic given `rng` state. Throws std::invalid_argument
+  /// when `n·min(M, K)` exceeds the offsets' range.
   static Placement generate(std::size_t num_nodes,
                             const Popularity& popularity,
                             std::size_t cache_size, PlacementMode mode,
                             Rng& rng);
 
   /// Every node caches the whole `num_files` library — the placement of an
-  /// origin tier (an origin *has* everything; nothing to sample).
+  /// origin tier (an origin *has* everything; nothing to sample). Throws
+  /// std::invalid_argument when `n·K` exceeds the offsets' range.
   static Placement full(std::size_t num_nodes, std::size_t num_files,
                         PlacementMode mode);
 
   /// Concatenate per-tier placements into one placement over the composed
   /// node-id space: part `i`'s node `u` becomes global node
   /// `sum of earlier part sizes + u`. All parts must cover the same file
-  /// library; replica lists merge in part order (bases ascend, so they
-  /// stay sorted). `cache_size()` of the composition is the largest
-  /// per-part capacity.
+  /// library. `cache_size()` of the composition is the largest per-part
+  /// capacity. Throws std::invalid_argument when the parts together hold
+  /// more entries than the offsets index.
   static Placement compose(std::span<const Placement> parts);
 
   [[nodiscard]] std::size_t num_nodes() const {
     return node_offsets_.size() - 1;
   }
-  [[nodiscard]] std::size_t num_files() const { return replicas_.size(); }
+  [[nodiscard]] std::size_t num_files() const {
+    return replica_offsets_.size() - 1;
+  }
   [[nodiscard]] std::size_t cache_size() const { return cache_size_; }
   [[nodiscard]] PlacementMode mode() const { return mode_; }
 
@@ -88,12 +97,12 @@ class Placement {
 
   /// Sorted list of nodes that cached file `j` (the paper's `S_j`).
   [[nodiscard]] std::span<const NodeId> replicas(FileId j) const {
-    return replicas_[j];
+    return {replica_nodes_.data() + replica_offsets_[j], replica_count(j)};
   }
 
   /// `|S_j|`.
   [[nodiscard]] std::size_t replica_count(FileId j) const {
-    return replicas_[j].size();
+    return replica_offsets_[j + 1] - replica_offsets_[j];
   }
 
   /// Number of library files with at least one replica network-wide.
@@ -104,18 +113,15 @@ class Placement {
   [[nodiscard]] std::size_t overlap(NodeId u, NodeId v) const;
 
  private:
-  Placement(std::vector<std::uint32_t> offsets, std::vector<FileId> files,
-            std::vector<std::vector<NodeId>> replicas, std::size_t cache_size,
-            PlacementMode mode)
-      : node_offsets_(std::move(offsets)),
-        node_files_(std::move(files)),
-        replicas_(std::move(replicas)),
-        cache_size_(cache_size),
-        mode_(mode) {}
+  /// Take the node lists and invert them into the replica lists.
+  Placement(std::size_t num_files, std::vector<std::uint32_t> offsets,
+            std::vector<FileId> files, std::size_t cache_size,
+            PlacementMode mode);
 
-  std::vector<std::uint32_t> node_offsets_;  // CSR offsets, size n+1
-  std::vector<FileId> node_files_;           // concatenated sorted lists
-  std::vector<std::vector<NodeId>> replicas_;
+  std::vector<std::uint32_t> node_offsets_;     // CSR offsets, size n+1
+  std::vector<FileId> node_files_;              // concatenated sorted lists
+  std::vector<std::uint32_t> replica_offsets_;  // CSR offsets, size K+1
+  std::vector<NodeId> replica_nodes_;           // concatenated sorted S_j
   std::size_t cache_size_;
   PlacementMode mode_;
 };

@@ -7,7 +7,7 @@
 
 namespace proxcache {
 
-BucketGrid::BucketGrid(const Lattice& lattice, std::vector<NodeId> points,
+BucketGrid::BucketGrid(const Lattice& lattice, std::span<const NodeId> points,
                        std::int32_t cell_hint)
     : lattice_(&lattice) {
   if (cell_hint > 0) {
@@ -27,25 +27,24 @@ BucketGrid::BucketGrid(const Lattice& lattice, std::vector<NodeId> points,
   }
   cells_per_axis_ = (lattice.side() + cell_ - 1) / cell_;
 
+  // Counting sort by cell: resolve each point's cell once, count the cells
+  // into offsets_, then scatter the points through the stored cell ids.
   const std::size_t num_cells = static_cast<std::size_t>(cells_per_axis_) *
                                 static_cast<std::size_t>(cells_per_axis_);
-  std::vector<std::uint32_t> counts(num_cells, 0);
-  const auto cell_of = [&](NodeId p) {
-    const Point pt = lattice_->coord(p);
-    const std::size_t cx = static_cast<std::size_t>(pt.x / cell_);
-    const std::size_t cy = static_cast<std::size_t>(pt.y / cell_);
-    return cy * static_cast<std::size_t>(cells_per_axis_) + cx;
-  };
-  for (const NodeId p : points) ++counts[cell_of(p)];
-
   offsets_.assign(num_cells + 1, 0);
-  for (std::size_t i = 0; i < num_cells; ++i) {
-    offsets_[i + 1] = offsets_[i] + counts[i];
+  std::vector<std::uint32_t> cell_of(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Point pt = lattice.coord(points[i]);
+    cell_of[i] = static_cast<std::uint32_t>(pt.y / cell_) *
+                     static_cast<std::uint32_t>(cells_per_axis_) +
+                 static_cast<std::uint32_t>(pt.x / cell_);
+    ++offsets_[cell_of[i] + 1];
   }
+  for (std::size_t i = 0; i < num_cells; ++i) offsets_[i + 1] += offsets_[i];
   points_.resize(points.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const NodeId p : points) {
-    points_[cursor[cell_of(p)]++] = p;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points_[cursor[cell_of[i]]++] = points[i];
   }
 }
 

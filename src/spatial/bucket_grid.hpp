@@ -9,6 +9,7 @@
 /// applies the exact distance predicate per point.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/lattice.hpp"
@@ -19,9 +20,9 @@ namespace proxcache {
 /// Immutable bucket-grid over a fixed set of lattice nodes.
 class BucketGrid {
  public:
-  /// Index `points` (node ids on `lattice`); `cell_hint == 0` picks a cell
-  /// size targeting ~1 point per cell.
-  BucketGrid(const Lattice& lattice, std::vector<NodeId> points,
+  /// Index a copy of `points` (node ids on `lattice`); `cell_hint == 0`
+  /// picks a cell size targeting ~1 point per cell.
+  BucketGrid(const Lattice& lattice, std::span<const NodeId> points,
              std::int32_t cell_hint = 0);
 
   /// Number of indexed points.

@@ -52,8 +52,7 @@ ReplicaIndex::ReplicaIndex(const Topology& topology,
   for (FileId j = 0; j < placement.num_files(); ++j) {
     const auto list = placement.replicas(j);
     if (list.size() >= bucket_threshold) {
-      buckets_[j] = std::make_unique<BucketGrid>(
-          *lattice_, std::vector<NodeId>(list.begin(), list.end()));
+      buckets_[j] = std::make_unique<BucketGrid>(*lattice_, list);
     }
   }
 }

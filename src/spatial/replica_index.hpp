@@ -80,8 +80,8 @@ inline auto distances_from(const Topology& topology, NodeId u) {
 /// references; the topology and placement must outlive the index.
 class ReplicaIndex {
  public:
-  /// Build the index. On lattice topologies, files whose replica list
-  /// exceeds `bucket_threshold` get a bucket grid for radius queries
+  /// Build the index. On lattice topologies, files with at least
+  /// `bucket_threshold` replicas get a bucket grid for radius queries
   /// (0 disables bucket grids; non-lattice topologies never build them).
   ReplicaIndex(const Topology& topology, const Placement& placement,
                std::size_t bucket_threshold = 512);

@@ -73,7 +73,8 @@ TEST(BucketGrid, EmptyPointSet) {
 
 TEST(BucketGrid, DuplicatePointsAreAllReported) {
   const Lattice lattice(5, Wrap::Torus);
-  const BucketGrid grid(lattice, {7, 7, 7});
+  const std::vector<NodeId> points = {7, 7, 7};
+  const BucketGrid grid(lattice, points);
   int visits = 0;
   grid.for_each_within(7, 0, [&](NodeId v, Hop d) {
     EXPECT_EQ(v, 7u);
