@@ -1,6 +1,6 @@
 // Property/fuzz suite for the shared `name(key=value, ...)` grammar
-// (util/kvspec.hpp) through *both* of its clients — strategy specs and
-// topology specs — in one place:
+// (util/kvspec.hpp) through all three of its clients — strategy, topology
+// and cache-policy specs — in one place:
 //
 //  1. seeded random round trips driven by the registries' own parameter
 //     rules (every legal key, values across each rule's range, integral and
@@ -9,7 +9,9 @@
 //     exponents, huge integers past the bare-print cutoff);
 //  3. a malformed-input corpus locking the exact error messages — the
 //     parser's diagnostics are API (CLIs print them verbatim), so a rewording
-//     is a breaking change this test makes visible.
+//     is a breaking change this test makes visible;
+//  4. a registry corpus locking the catalogs' full messages for specs that
+//     parse but do not validate, and for entries `add` refuses.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,8 +21,10 @@
 
 #include "event/cache_policy.hpp"
 #include "random/rng.hpp"
+#include "scenario/registry.hpp"
 #include "strategy/registry.hpp"
 #include "strategy/spec.hpp"
+#include "tier/registry.hpp"
 #include "topology/registry.hpp"
 #include "topology/spec.hpp"
 
@@ -256,6 +260,163 @@ TEST(KvSpecFuzz, MalformedCachePolicyCorpusLocksMessages) {
   expect_error(parse, "lru() tail",
                "bad cache-policy spec 'lru() tail': trailing characters "
                "after ')': 't...'");
+}
+
+// The registries' diagnostics are API too: every message a CLI prints for
+// a well-formed spec the catalogs reject — unknown names in all five
+// catalogs, unknown keys, out-of-range and non-integral values, the
+// topology node-count cap, and `add`'s refusals — locked in full.
+TEST(KvSpecFuzz, RegistryCorpusLocksMessages) {
+  const auto strategy = [](const std::string& text) {
+    StrategyRegistry::built_ins().validate(parse_strategy_spec(text));
+  };
+  const auto topology = [](const std::string& text) {
+    TopologyRegistry::built_ins().validate(parse_topology_spec(text));
+  };
+  const auto policy = [](const std::string& text) {
+    CachePolicyRegistry::built_ins().validate(parse_cache_policy_spec(text));
+  };
+  const auto scenario = [](const std::string& name) {
+    return ScenarioRegistry::built_ins().at(name);
+  };
+  const auto tier = [](const std::string& name) {
+    return TierRegistry::built_ins().at(name);
+  };
+
+  // Unknown names, with the catalog listed in registration order.
+  expect_error(strategy, "nope",
+               "unknown strategy 'nope' (known: nearest, two-choice, "
+               "least-loaded, prox-weighted, cross-two-choice, front-first, "
+               "cross-prox-weighted)");
+  expect_error(topology, "nope",
+               "unknown topology 'nope' (known: torus, grid, ring, clique, "
+               "tree, rgg, hyperbolic)");
+  expect_error(policy, "nope",
+               "unknown cache policy 'nope' (known: static, lru, lfu, ewma)");
+  expect_error(scenario, "nope",
+               "unknown scenario 'nope' (known: baseline-uniform, "
+               "baseline-zipf, hotspot, flash-crowd, diurnal, churn, "
+               "temporal-locality, adversarial-topk)");
+  expect_error(tier, "nope",
+               "unknown tier preset 'nope' (known: cdn, edge-core, "
+               "origin-only)");
+
+  // Unknown keys, with the entry's keys in declaration order.
+  expect_error(strategy, "two-choice(q=1)",
+               "strategy 'two-choice' does not take parameter 'q' (known: d, "
+               "r, beta, fallback, wr, stale)");
+  expect_error(topology, "torus(n=64)",
+               "topology 'torus' does not take parameter 'n' (known: side)");
+  expect_error(policy, "lru(depth=3)",
+               "cache policy 'lru' does not take parameter 'depth' (known: "
+               "capacity)");
+  expect_error(policy, "static(capacity=4)",
+               "cache policy 'static' does not take parameter 'capacity' "
+               "(known: <none>)");
+
+  // Out-of-range values: finite and `inf` bounds, nan, small bounds.
+  expect_error(strategy, "two-choice(d=9)",
+               "strategy 'two-choice' parameter 'd' = 9 is outside [1, 8]");
+  expect_error(strategy, "two-choice(r=-1)",
+               "strategy 'two-choice' parameter 'r' = -1 is outside [0, inf]");
+  expect_error(strategy, "two-choice(beta=nan)",
+               "strategy 'two-choice' parameter 'beta' = nan is outside "
+               "[0, 1]");
+  expect_error(strategy, "two-choice(d=8.0000001)",
+               "strategy 'two-choice' parameter 'd' = 8 is outside [1, 8]");
+  expect_error(strategy, "two-choice(stale=4294967296)",
+               "strategy 'two-choice' parameter 'stale' = 4.29497e+09 is "
+               "outside [1, 4.29497e+09]");
+  expect_error(topology, "torus(side=0)",
+               "topology 'torus' parameter 'side' = 0 is outside [1, 8192]");
+  expect_error(topology, "rgg(radius=0)",
+               "topology 'rgg' parameter 'radius' = 0 is outside [1e-09, "
+               "1.5]");
+  expect_error(topology, "rgg(n=16777217)",
+               "topology 'rgg' parameter 'n' = 1.67772e+07 is outside [2, "
+               "1.67772e+07]");
+  expect_error(policy, "ewma(decay=-0.1)",
+               "cache policy 'ewma' parameter 'decay' = -0.1 is outside [0, "
+               "inf]");
+
+  // Non-integral values for whole-number keys.
+  expect_error(strategy, "two-choice(d=2.5)",
+               "strategy 'two-choice' parameter 'd' = 2.5 must be an "
+               "integer");
+  expect_error(topology, "torus(side=2.5)",
+               "topology 'torus' parameter 'side' = 2.5 must be an integer");
+  expect_error(policy, "lru(capacity=2.5)",
+               "cache policy 'lru' parameter 'capacity' = 2.5 must be an "
+               "integer");
+
+  // Per-key ranges pass, the implied node count does not.
+  expect_error(topology, "tree(branching=4, depth=14)",
+               "topology 'tree' implies 357913941 nodes, outside [1, "
+               "134217728]");
+
+  // The batch helpers fail with the registry's own message.
+  expect_error(
+      [](const std::string& text) {
+        (void)parse_validated_specs({"nearest", text});
+      },
+      "nope",
+      "unknown strategy 'nope' (known: nearest, two-choice, least-loaded, "
+      "prox-weighted, cross-two-choice, front-first, cross-prox-weighted)");
+  expect_error(
+      [](const std::string& text) {
+        (void)parse_validated_topology_specs({"ring", text});
+      },
+      "ring(n=0)",
+      "topology 'ring' parameter 'n' = 0 is outside [1, 1.34218e+08]");
+  expect_error(
+      [](const std::string& text) {
+        (void)parse_validated_policy_specs({"lru", text});
+      },
+      "lfu(capacity=-1)",
+      "cache policy 'lfu' parameter 'capacity' = -1 is outside [0, "
+      "4.29497e+09]");
+}
+
+TEST(KvSpecFuzz, RegistryAddCorpusLocksMessages) {
+  const auto add_strategy = [](const std::string& name) {
+    StrategyRegistry registry = StrategyRegistry::with_built_ins();
+    StrategyEntry entry = StrategyRegistry::built_ins().at("nearest");
+    entry.name = name;
+    if (name == "ghost") entry.factory = nullptr;
+    registry.add(entry);
+  };
+  expect_error(add_strategy, "", "strategy entry needs a non-empty name");
+  expect_error(add_strategy, "ghost",
+               "strategy 'ghost' registered without a factory");
+  expect_error(add_strategy, "nearest",
+               "strategy 'nearest' is already registered");
+
+  const auto add_topology = [](const std::string& name) {
+    TopologyRegistry registry = TopologyRegistry::with_built_ins();
+    TopologyEntry entry = TopologyRegistry::built_ins().at("ring");
+    entry.name = name;
+    if (name == "ghost") entry.factory = nullptr;
+    if (name == "shapeless") entry.node_count = nullptr;
+    registry.add(entry);
+  };
+  expect_error(add_topology, "", "topology entry needs a non-empty name");
+  expect_error(add_topology, "ghost",
+               "topology 'ghost' registered without a factory");
+  expect_error(add_topology, "shapeless",
+               "topology 'shapeless' registered without a node_count");
+  expect_error(add_topology, "ring", "topology 'ring' is already registered");
+
+  const auto add_policy = [](const std::string& name) {
+    CachePolicyRegistry registry = CachePolicyRegistry::with_built_ins();
+    CachePolicyEntry entry = CachePolicyRegistry::built_ins().at("lru");
+    entry.name = name;
+    if (name == "ghost") entry.factory = nullptr;
+    registry.add(entry);
+  };
+  expect_error(add_policy, "", "cache-policy entry needs a non-empty name");
+  expect_error(add_policy, "ghost",
+               "cache policy 'ghost' registered without a factory");
+  expect_error(add_policy, "lru", "cache policy 'lru' is already registered");
 }
 
 TEST(KvSpecFuzz, TruncatedCachePolicySpecsAlwaysThrow) {
