@@ -33,12 +33,12 @@ std::size_t ExperimentConfig::resolved_nodes() const {
     const TopologyRegistry& registry = TopologyRegistry::global();
     std::size_t total = 0;
     for (const TierLevelSpec& level : tier_spec.levels) {
-      total += level.clusters * registry.node_count(level.topology);
+      total += level.clusters * node_count(registry, level.topology);
     }
     return total;
   }
   if (topology_spec.empty()) return num_nodes;
-  return TopologyRegistry::global().node_count(topology_spec);
+  return node_count(TopologyRegistry::global(), topology_spec);
 }
 
 StrategySpec ExperimentConfig::resolved_strategy() const {

@@ -2,30 +2,14 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
-#include <utility>
 
 #include "util/contracts.hpp"
-#include "util/kvspec.hpp"
 
 namespace proxcache {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::string format_range(double lo, double hi) {
-  std::ostringstream os;
-  os << '[' << lo << ", ";
-  if (std::isinf(hi)) {
-    os << "inf";
-  } else {
-    os << hi;
-  }
-  os << ']';
-  return os.str();
-}
 
 /// Effective slot count: an explicit `capacity` wins; 0 (the declared
 /// default) inherits the experiment's per-node cache size M.
@@ -174,7 +158,7 @@ class EwmaPolicy final : public TrackedPolicy {
   double decay_;
 };
 
-CachePolicyParamRule capacity_rule() {
+ParamRule capacity_rule() {
   return {"capacity", 0.0, 4294967295.0, 0.0,
           "cache slots per node (0 = the experiment's cache size M)",
           /*integral=*/true};
@@ -182,23 +166,7 @@ CachePolicyParamRule capacity_rule() {
 
 }  // namespace
 
-double CachePolicySpec::get_or(const std::string& key, double fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
-}
-
-std::string CachePolicySpec::to_string() const {
-  return kv_spec_to_string(name, params, {});
-}
-
-CachePolicySpec parse_cache_policy_spec(std::string_view text) {
-  ParsedKvSpec parsed = parse_kv_spec(text, "cache-policy", {});
-  CachePolicySpec spec;
-  spec.name = std::move(parsed.name);
-  spec.params = std::move(parsed.params);
-  return spec;
-}
-
+template <>
 const CachePolicyRegistry& CachePolicyRegistry::built_ins() {
   static const CachePolicyRegistry registry = [] {
     CachePolicyRegistry r;
@@ -206,7 +174,9 @@ const CachePolicyRegistry& CachePolicyRegistry::built_ins() {
            "frozen placement: never inserts or evicts (the batch model)",
            {},
            /*mutable_contents=*/false,
-           nullptr});
+           [](const CachePolicySpec&, std::size_t) {
+             return std::unique_ptr<CachePolicy>();
+           }});
     r.add({"lru",
            "evict the least recently accessed file",
            {capacity_rule()},
@@ -236,120 +206,6 @@ const CachePolicyRegistry& CachePolicyRegistry::built_ins() {
     return r;
   }();
   return registry;
-}
-
-CachePolicyRegistry& CachePolicyRegistry::global() {
-  static CachePolicyRegistry registry = built_ins();
-  return registry;
-}
-
-void CachePolicyRegistry::add(CachePolicyEntry entry) {
-  if (entry.name.empty()) {
-    throw std::invalid_argument("cache-policy entry needs a non-empty name");
-  }
-  if (entry.mutable_contents && !entry.factory) {
-    throw std::invalid_argument("cache policy '" + entry.name +
-                                "' registered without a factory");
-  }
-  if (find(entry.name) != nullptr) {
-    throw std::invalid_argument("cache policy '" + entry.name +
-                                "' is already registered");
-  }
-  entries_.push_back(std::move(entry));
-}
-
-const CachePolicyEntry* CachePolicyRegistry::find(
-    const std::string& name) const {
-  for (const CachePolicyEntry& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-const CachePolicyEntry& CachePolicyRegistry::at(const std::string& name) const {
-  const CachePolicyEntry* entry = find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown cache policy '" + name +
-                                "' (known: " + names() + ")");
-  }
-  return *entry;
-}
-
-std::string CachePolicyRegistry::names() const {
-  std::string joined;
-  for (const CachePolicyEntry& entry : entries_) {
-    if (!joined.empty()) joined += ", ";
-    joined += entry.name;
-  }
-  return joined;
-}
-
-void CachePolicyRegistry::validate(const CachePolicySpec& spec) const {
-  const CachePolicyEntry& entry = at(spec.name);
-  for (const auto& [key, value] : spec.params) {
-    const CachePolicyParamRule* rule = nullptr;
-    for (const CachePolicyParamRule& candidate : entry.params) {
-      if (candidate.key == key) {
-        rule = &candidate;
-        break;
-      }
-    }
-    if (rule == nullptr) {
-      std::string known;
-      for (const CachePolicyParamRule& candidate : entry.params) {
-        if (!known.empty()) known += ", ";
-        known += candidate.key;
-      }
-      throw std::invalid_argument(
-          "cache policy '" + spec.name + "' does not take parameter '" + key +
-          "' (known: " + (known.empty() ? "<none>" : known) + ")");
-    }
-    if (std::isnan(value) || value < rule->min_value ||
-        value > rule->max_value) {
-      std::ostringstream os;
-      os << "cache policy '" << spec.name << "' parameter '" << key << "' = "
-         << value << " is outside "
-         << format_range(rule->min_value, rule->max_value);
-      throw std::invalid_argument(os.str());
-    }
-    if (rule->integral && !std::isinf(value) && value != std::floor(value)) {
-      std::ostringstream os;
-      os << "cache policy '" << spec.name << "' parameter '" << key << "' = "
-         << value << " must be an integer";
-      throw std::invalid_argument(os.str());
-    }
-  }
-}
-
-CachePolicySpec CachePolicyRegistry::with_defaults(
-    const CachePolicySpec& spec) const {
-  validate(spec);
-  CachePolicySpec filled = spec;
-  for (const CachePolicyParamRule& rule : at(spec.name).params) {
-    if (!filled.has(rule.key)) filled.params[rule.key] = rule.default_value;
-  }
-  return filled;
-}
-
-std::unique_ptr<CachePolicy> CachePolicyRegistry::make(
-    const CachePolicySpec& spec, std::size_t fallback_capacity) const {
-  const CachePolicyEntry& entry = at(spec.name);
-  const CachePolicySpec filled = with_defaults(spec);
-  if (!entry.mutable_contents) return nullptr;
-  return entry.factory(filled, fallback_capacity);
-}
-
-std::vector<CachePolicySpec> parse_validated_policy_specs(
-    const std::vector<std::string>& texts,
-    const CachePolicyRegistry& registry) {
-  std::vector<CachePolicySpec> specs;
-  specs.reserve(texts.size());
-  for (const std::string& text : texts) {
-    CachePolicySpec spec = parse_cache_policy_spec(text);
-    registry.validate(spec);
-    specs.push_back(std::move(spec));
-  }
-  return specs;
 }
 
 }  // namespace proxcache

@@ -2,8 +2,8 @@
 /// \file cache_policy.hpp
 /// Replacement policies for the event-driven dynamic mode: the third client
 /// of the shared `name(key=value, ...)` spec grammar (util/kvspec.hpp) and
-/// the third parameter-rule registry, mirroring strategy/registry.hpp and
-/// topology/registry.hpp. A `CachePolicy` is *per-node* eviction metadata —
+/// of the shared spec registry (util/spec_registry.hpp), beside strategies
+/// and topologies. A `CachePolicy` is *per-node* eviction metadata —
 /// recency stamps, access counts, decayed rates — while the contents
 /// themselves live in the shared `CacheState` (catalog/cache_state.hpp).
 /// The event engine keeps the two in lock-step: it consults the policy for
@@ -26,37 +26,36 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/kvspec.hpp"
+#include "util/spec_registry.hpp"
 #include "util/types.hpp"
 
 namespace proxcache {
 
-/// Parsed `name(key=value, ...)` cache-policy spec (e.g. `lru(capacity=8)`
-/// or `ewma(decay=0.25)`). Same canonical grammar as StrategySpec /
-/// TopologySpec; `to_string` emits lowercase sorted-key form.
-struct CachePolicySpec {
-  std::string name;
-  std::map<std::string, double> params;
-
-  [[nodiscard]] bool empty() const { return name.empty(); }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return params.count(key) != 0;
-  }
-  [[nodiscard]] double get_or(const std::string& key, double fallback) const;
-  [[nodiscard]] std::string to_string() const;
-
-  friend bool operator==(const CachePolicySpec&,
-                         const CachePolicySpec&) = default;
+/// The cache-policy kind: message nouns and (no) keywords. Parse errors
+/// read `bad cache-policy spec ...`, registry errors `cache policy '...'`.
+struct CachePolicySpecKind {
+  static constexpr std::string_view grammar = "cache-policy";
+  static constexpr std::string_view noun = "cache policy";
+  static constexpr std::span<const SpecKeyword> keywords{};
 };
+
+/// Parsed `name(key=value, ...)` cache-policy spec (e.g. `lru(capacity=8)`
+/// or `ewma(decay=0.25)`), on the grammar of util/kvspec.hpp.
+using CachePolicySpec = KvSpec<CachePolicySpecKind>;
 
 /// Parse `text` as a cache-policy spec. Malformed input throws
 /// std::invalid_argument as `bad cache-policy spec '<text>': <detail>`.
-[[nodiscard]] CachePolicySpec parse_cache_policy_spec(std::string_view text);
+[[nodiscard]] inline CachePolicySpec parse_cache_policy_spec(
+    std::string_view text) {
+  return CachePolicySpec::parse(text);
+}
 
 /// Per-node eviction metadata. One instance per server; the engine drives
 /// it serially in event order, so implementations need no synchronization
@@ -89,93 +88,40 @@ class CachePolicy {
   virtual void on_evict(FileId file) = 0;
 };
 
-/// One legal parameter of a cache policy (same shape as StrategyParamRule).
-struct CachePolicyParamRule {
-  std::string key;
-  double min_value;
-  double max_value;  ///< inclusive; infinity for unbounded keys
-  double default_value;
-  std::string doc;
-  bool integral = false;
-};
-
 /// Builds one node's policy state. `spec` arrives defaults-filled;
 /// `fallback_capacity` is the experiment's per-node cache size M, used when
 /// the spec's `capacity` is 0/absent. Entries whose contents never change
-/// (`static`) set `mutable_contents = false` and may return a null factory
-/// product — the engine skips all policy bookkeeping for them.
+/// (`static`) set `mutable_contents = false` and return null — the engine
+/// skips all policy bookkeeping for them.
 using CachePolicyFactory = std::function<std::unique_ptr<CachePolicy>(
     const CachePolicySpec&, std::size_t fallback_capacity)>;
 
 /// One registered cache policy.
 struct CachePolicyEntry {
+  using Spec = CachePolicySpec;
+
   std::string name;     ///< registry key, canonical lowercase
   std::string summary;  ///< one-line description for --help / README tables
-  std::vector<CachePolicyParamRule> params;
+  std::vector<ParamRule> params;
   /// False when the policy freezes the seeded placement (no inserts, no
   /// evictions); the engine then skips per-node policy instances entirely.
   bool mutable_contents = true;
   CachePolicyFactory factory;
 };
 
-/// Catalog of cache-policy entries, mirroring StrategyRegistry's API so
-/// the spec fuzz suite can drive both from the same table shape.
-class CachePolicyRegistry {
- public:
-  CachePolicyRegistry() = default;
+/// Catalog of cache-policy entries (util/spec_registry.hpp); `global()` is
+/// what the event engine consults. `make(spec, fallback_capacity)`
+/// validates and builds one node's policy.
+using CachePolicyRegistry = SpecRegistry<CachePolicyEntry>;
 
-  /// The shared immutable catalog of built-in policies.
-  static const CachePolicyRegistry& built_ins();
+template <>
+const CachePolicyRegistry& CachePolicyRegistry::built_ins();
 
-  /// A mutable copy of the built-in catalog to extend with `add`.
-  static CachePolicyRegistry with_built_ins() { return built_ins(); }
-
-  /// The process-wide catalog the event engine consults. Register custom
-  /// policies at startup, before runs — registration is not synchronized.
-  static CachePolicyRegistry& global();
-
-  /// Register an entry; throws std::invalid_argument on a duplicate name,
-  /// an empty name, or a mutable entry without a factory.
-  void add(CachePolicyEntry entry);
-
-  /// All entries in registration order.
-  [[nodiscard]] const std::vector<CachePolicyEntry>& all() const {
-    return entries_;
-  }
-
-  /// Entry by name, or nullptr when absent.
-  [[nodiscard]] const CachePolicyEntry* find(const std::string& name) const;
-
-  /// Entry by name; throws std::invalid_argument listing the known names
-  /// when absent.
-  [[nodiscard]] const CachePolicyEntry& at(const std::string& name) const;
-
-  /// Comma-separated names (for error messages and --help).
-  [[nodiscard]] std::string names() const;
-
-  /// Check `spec` against the named entry's parameter rules. Throws
-  /// std::invalid_argument on an unknown policy name, an unknown parameter
-  /// key, or an out-of-range / non-integral value.
-  void validate(const CachePolicySpec& spec) const;
-
-  /// `spec`, validated, with every unset parameter filled in from the
-  /// entry's declared defaults.
-  [[nodiscard]] CachePolicySpec with_defaults(const CachePolicySpec& spec) const;
-
-  /// Validate `spec` and build one node's policy through the entry's
-  /// factory (null for immutable entries).
-  [[nodiscard]] std::unique_ptr<CachePolicy> make(
-      const CachePolicySpec& spec, std::size_t fallback_capacity) const;
-
- private:
-  std::vector<CachePolicyEntry> entries_;
-};
-
-/// Parse and validate a batch of policy spec strings (e.g. repeated
-/// `--policy` flags) up front; throws std::invalid_argument on the first
-/// bad spec.
-[[nodiscard]] std::vector<CachePolicySpec> parse_validated_policy_specs(
+/// `registry.parse_validated(texts)` for repeated `--policy` flags.
+[[nodiscard]] inline std::vector<CachePolicySpec> parse_validated_policy_specs(
     const std::vector<std::string>& texts,
-    const CachePolicyRegistry& registry = CachePolicyRegistry::global());
+    const CachePolicyRegistry& registry = CachePolicyRegistry::global()) {
+  return registry.parse_validated(texts);
+}
 
 }  // namespace proxcache

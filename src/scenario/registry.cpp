@@ -1,7 +1,5 @@
 #include "scenario/registry.hpp"
 
-#include <stdexcept>
-
 namespace proxcache {
 
 namespace {
@@ -27,7 +25,7 @@ Scenario make(std::string name, std::string summary, ExperimentConfig config) {
 ScenarioRegistry::ScenarioRegistry() {
   {
     ExperimentConfig config = workload_base();
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "baseline-uniform",
         "paper model: uniform origins, uniform catalog", config));
   }
@@ -35,7 +33,7 @@ ScenarioRegistry::ScenarioRegistry() {
     ExperimentConfig config = workload_base();
     config.popularity.kind = PopularityKind::Zipf;
     config.popularity.gamma = 0.8;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "baseline-zipf",
         "paper model with a Zipf(0.8) catalog (Remark 2)", config));
   }
@@ -46,7 +44,7 @@ ScenarioRegistry::ScenarioRegistry() {
     config.origins.kind = OriginKind::Hotspot;
     config.origins.hotspot_fraction = 0.6;
     config.origins.hotspot_radius = 4;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "hotspot",
         "static hotspot: 60% of demand born in a radius-4 disc", config));
   }
@@ -59,7 +57,7 @@ ScenarioRegistry::ScenarioRegistry() {
     config.trace.flash_start = 0.25;
     config.trace.flash_end = 0.75;
     config.trace.flash_radius = 4;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "flash-crowd",
         "demand pulse: in-disc fraction ramps 0 -> 0.9 -> 0 mid-trace",
         config));
@@ -71,7 +69,7 @@ ScenarioRegistry::ScenarioRegistry() {
     config.trace.kind = TraceKind::Diurnal;
     config.trace.diurnal_amplitude = 0.4;
     config.trace.diurnal_cycles = 2;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "diurnal",
         "Zipf exponent oscillates 0.8 +/- 0.4 over two cycles", config));
   }
@@ -82,7 +80,7 @@ ScenarioRegistry::ScenarioRegistry() {
     config.trace.kind = TraceKind::Churn;
     config.trace.churn_offline_fraction = 0.25;
     config.trace.churn_epochs = 8;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "churn",
         "catalog churn: 25% of files offline, reshuffled over 8 epochs",
         config));
@@ -94,7 +92,7 @@ ScenarioRegistry::ScenarioRegistry() {
     config.trace.kind = TraceKind::TemporalLocality;
     config.trace.locality_prob = 0.4;
     config.trace.locality_depth = 64;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "temporal-locality",
         "40% of requests reuse one of the last 64 requested files", config));
   }
@@ -105,11 +103,11 @@ ScenarioRegistry::ScenarioRegistry() {
     config.trace.kind = TraceKind::Adversarial;
     config.trace.attack_fraction = 0.5;
     config.trace.attack_top_k = 4;
-    scenarios_.push_back(make(
+    items_.push_back(make(
         "adversarial-topk",
         "adversary pins half the requests to the 4 hottest files", config));
   }
-  for (const Scenario& scenario : scenarios_) {
+  for (const Scenario& scenario : items_) {
     scenario.config.validate();
   }
 }
@@ -117,31 +115,6 @@ ScenarioRegistry::ScenarioRegistry() {
 const ScenarioRegistry& ScenarioRegistry::built_ins() {
   static const ScenarioRegistry registry;
   return registry;
-}
-
-const Scenario* ScenarioRegistry::find(const std::string& name) const {
-  for (const Scenario& scenario : scenarios_) {
-    if (scenario.name == name) return &scenario;
-  }
-  return nullptr;
-}
-
-const Scenario& ScenarioRegistry::at(const std::string& name) const {
-  const Scenario* scenario = find(name);
-  if (scenario == nullptr) {
-    throw std::invalid_argument("unknown scenario '" + name +
-                                "' (known: " + names() + ")");
-  }
-  return *scenario;
-}
-
-std::string ScenarioRegistry::names() const {
-  std::string joined;
-  for (const Scenario& scenario : scenarios_) {
-    if (!joined.empty()) joined += ", ";
-    joined += scenario.name;
-  }
-  return joined;
 }
 
 }  // namespace proxcache

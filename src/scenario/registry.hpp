@@ -7,42 +7,30 @@
 /// preset per trace process in scenario/generators.hpp.
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/config.hpp"
+#include "util/spec_registry.hpp"
 
 namespace proxcache {
 
 /// One named workload preset.
 struct Scenario {
+  static constexpr std::string_view noun = "scenario";
+
   std::string name;     ///< registry key, e.g. "flash-crowd"
   std::string summary;  ///< one-line description for --list output
   ExperimentConfig config;
 };
 
-/// Immutable collection of named scenarios.
-class ScenarioRegistry {
+/// Immutable collection of named scenarios (`all`/`find`/`at`/`names`).
+class ScenarioRegistry : public NamedCatalog<Scenario> {
  public:
   /// The built-in presets (constructed once, validated).
   static const ScenarioRegistry& built_ins();
 
-  /// All scenarios in registration order.
-  [[nodiscard]] const std::vector<Scenario>& all() const { return scenarios_; }
-
-  /// Scenario by name, or nullptr when absent.
-  [[nodiscard]] const Scenario* find(const std::string& name) const;
-
-  /// Scenario by name; throws std::invalid_argument listing the known
-  /// names when absent.
-  [[nodiscard]] const Scenario& at(const std::string& name) const;
-
-  /// Comma-separated names (for error messages and --help).
-  [[nodiscard]] std::string names() const;
-
  private:
   ScenarioRegistry();
-
-  std::vector<Scenario> scenarios_;
 };
 
 }  // namespace proxcache

@@ -1,9 +1,6 @@
 #include "strategy/registry.hpp"
 
-#include <cmath>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
 
 #include "core/nearest_replica.hpp"
 #include "core/two_choice.hpp"
@@ -37,22 +34,10 @@ Hop radius_from_param(double value) {
   return static_cast<Hop>(value);
 }
 
-StrategyParamRule stale_rule() {
+ParamRule stale_rule() {
   return {"stale", 1.0, 4294967295.0, 1.0,
           "load-snapshot refresh period in requests (1 = always fresh)",
           /*integral=*/true};
-}
-
-std::string format_range(double lo, double hi) {
-  std::ostringstream os;
-  os << '[' << lo << ", ";
-  if (std::isinf(hi)) {
-    os << "inf";
-  } else {
-    os << hi;
-  }
-  os << ']';
-  return os.str();
 }
 
 }  // namespace
@@ -67,99 +52,7 @@ FallbackPolicy fallback_policy_from_param(double code) {
   return FallbackPolicy::ExpandRadius;
 }
 
-void StrategyRegistry::add(StrategyEntry entry) {
-  if (entry.name.empty()) {
-    throw std::invalid_argument("strategy entry needs a non-empty name");
-  }
-  if (!entry.factory) {
-    throw std::invalid_argument("strategy '" + entry.name +
-                                "' registered without a factory");
-  }
-  if (find(entry.name) != nullptr) {
-    throw std::invalid_argument("strategy '" + entry.name +
-                                "' is already registered");
-  }
-  entries_.push_back(std::move(entry));
-}
-
-const StrategyEntry* StrategyRegistry::find(const std::string& name) const {
-  for (const StrategyEntry& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-const StrategyEntry& StrategyRegistry::at(const std::string& name) const {
-  const StrategyEntry* entry = find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown strategy '" + name +
-                                "' (known: " + names() + ")");
-  }
-  return *entry;
-}
-
-std::string StrategyRegistry::names() const {
-  std::string joined;
-  for (const StrategyEntry& entry : entries_) {
-    if (!joined.empty()) joined += ", ";
-    joined += entry.name;
-  }
-  return joined;
-}
-
-void StrategyRegistry::validate(const StrategySpec& spec) const {
-  const StrategyEntry& entry = at(spec.name);
-  for (const auto& [key, value] : spec.params) {
-    const StrategyParamRule* rule = nullptr;
-    for (const StrategyParamRule& candidate : entry.params) {
-      if (candidate.key == key) {
-        rule = &candidate;
-        break;
-      }
-    }
-    if (rule == nullptr) {
-      std::string known;
-      for (const StrategyParamRule& candidate : entry.params) {
-        if (!known.empty()) known += ", ";
-        known += candidate.key;
-      }
-      throw std::invalid_argument(
-          "strategy '" + spec.name + "' does not take parameter '" + key +
-          "' (known: " + (known.empty() ? "<none>" : known) + ")");
-    }
-    if (std::isnan(value) || value < rule->min_value ||
-        value > rule->max_value) {
-      std::ostringstream os;
-      os << "strategy '" << spec.name << "' parameter '" << key << "' = "
-         << value << " is outside "
-         << format_range(rule->min_value, rule->max_value);
-      throw std::invalid_argument(os.str());
-    }
-    if (rule->integral && !std::isinf(value) &&
-        value != std::floor(value)) {
-      std::ostringstream os;
-      os << "strategy '" << spec.name << "' parameter '" << key << "' = "
-         << value << " must be an integer";
-      throw std::invalid_argument(os.str());
-    }
-  }
-}
-
-StrategySpec StrategyRegistry::with_defaults(const StrategySpec& spec) const {
-  validate(spec);
-  StrategySpec filled = spec;
-  for (const StrategyParamRule& rule : at(spec.name).params) {
-    if (!filled.has(rule.key)) filled.params[rule.key] = rule.default_value;
-  }
-  return filled;
-}
-
-std::unique_ptr<Strategy> StrategyRegistry::make(
-    const StrategySpec& spec, const ReplicaIndex& index,
-    const Topology& topology, const ExperimentConfig& config) const {
-  return at(spec.name).factory(with_defaults(spec), index, topology, config);
-}
-
+template <>
 const StrategyRegistry& StrategyRegistry::built_ins() {
   static const StrategyRegistry registry = [] {
     StrategyRegistry r;
@@ -289,23 +182,6 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
     return r;
   }();
   return registry;
-}
-
-StrategyRegistry& StrategyRegistry::global() {
-  static StrategyRegistry registry = with_built_ins();
-  return registry;
-}
-
-std::vector<StrategySpec> parse_validated_specs(
-    const std::vector<std::string>& texts, const StrategyRegistry& registry) {
-  std::vector<StrategySpec> specs;
-  specs.reserve(texts.size());
-  for (const std::string& text : texts) {
-    StrategySpec spec = parse_strategy_spec(text);
-    registry.validate(spec);
-    specs.push_back(std::move(spec));
-  }
-  return specs;
 }
 
 }  // namespace proxcache

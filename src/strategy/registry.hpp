@@ -9,11 +9,12 @@
 /// automatically.
 ///
 /// Every entry declares the parameter keys it accepts with inclusive
-/// ranges and defaults; `validate` rejects unknown names, unknown keys and
-/// out-of-range values with precise messages, and `make` validates before
-/// constructing. The universal key `stale` (load-snapshot refresh period,
-/// core/stale_view.hpp) is accepted by every strategy because the staleness
-/// model wraps the LoadView outside the strategy proper.
+/// ranges and defaults (`ParamRule`); the shared `SpecRegistry` rejects
+/// unknown names, unknown keys and out-of-range values with precise
+/// messages, and `make` validates before constructing. The universal key
+/// `stale` (load-snapshot refresh period, core/stale_view.hpp) is accepted
+/// by every strategy because the staleness model wraps the LoadView outside
+/// the strategy proper.
 
 #include <functional>
 #include <memory>
@@ -25,22 +26,9 @@
 #include "spatial/replica_index.hpp"
 #include "strategy/spec.hpp"
 #include "topology/topology.hpp"
+#include "util/spec_registry.hpp"
 
 namespace proxcache {
-
-/// One legal parameter of a strategy: inclusive range plus the value used
-/// when the spec leaves the key unset.
-struct StrategyParamRule {
-  std::string key;
-  double min_value;
-  double max_value;  ///< inclusive; use infinity for unbounded keys
-  double default_value;
-  std::string doc;  ///< one-liner for --help / README tables
-  /// Whole numbers only (`inf` stays legal where the range allows it).
-  /// Counts and radii set this so e.g. `r=2.7` is rejected instead of
-  /// silently truncating to a radius the results table never admits to.
-  bool integral = false;
-};
 
 /// Builds a ready-to-run Strategy for one request stream. The index is the
 /// per-run spatial query layer; the topology and config carry the shared
@@ -51,9 +39,11 @@ using StrategyFactory = std::function<std::unique_ptr<Strategy>(
 
 /// One registered strategy.
 struct StrategyEntry {
+  using Spec = StrategySpec;
+
   std::string name;     ///< registry key, canonical lowercase
   std::string summary;  ///< one-line description for --list output
-  std::vector<StrategyParamRule> params;
+  std::vector<ParamRule> params;
   StrategyFactory factory;
   /// Cross-tier strategies (tier/strategies.hpp) read the hierarchy through
   /// `Topology::as_tiered()` and refuse flat topologies; declaring it here
@@ -62,77 +52,26 @@ struct StrategyEntry {
   bool requires_tiers = false;
 };
 
-/// Catalog of strategy entries. `built_ins()` is the immutable default set
-/// (paper strategies + extensions); custom registries start from
-/// `with_built_ins()` and `add` their own entries.
-class StrategyRegistry {
- public:
-  /// An empty registry (for fully custom catalogs).
-  StrategyRegistry() = default;
+/// Catalog of strategy entries (util/spec_registry.hpp). `built_ins()` is
+/// the immutable default set (paper strategies + extensions); `global()` is
+/// what `ExperimentConfig::validate`, `SimulationContext::run` and
+/// `run_dynamic` consult. `make(spec, index, topology, config)` validates
+/// and builds.
+using StrategyRegistry = SpecRegistry<StrategyEntry>;
 
-  /// The shared immutable catalog of built-in strategies.
-  static const StrategyRegistry& built_ins();
-
-  /// A mutable copy of the built-in catalog to extend with `add`.
-  static StrategyRegistry with_built_ins() { return built_ins(); }
-
-  /// The process-wide catalog the simulator consults (`validate`,
-  /// `SimulationContext::run`, `run_supermarket`). Starts as a copy of
-  /// `built_ins()`; `global().add(...)` makes a custom strategy runnable
-  /// everywhere specs are accepted. Register at startup, before experiments
-  /// run — registration is not synchronized with concurrent runs.
-  static StrategyRegistry& global();
-
-  /// Register an entry; throws std::invalid_argument on a duplicate name
-  /// or an entry without a factory.
-  void add(StrategyEntry entry);
-
-  /// All entries in registration order.
-  [[nodiscard]] const std::vector<StrategyEntry>& all() const {
-    return entries_;
-  }
-
-  /// Entry by name, or nullptr when absent.
-  [[nodiscard]] const StrategyEntry* find(const std::string& name) const;
-
-  /// Entry by name; throws std::invalid_argument listing the known names
-  /// when absent.
-  [[nodiscard]] const StrategyEntry& at(const std::string& name) const;
-
-  /// Comma-separated names (for error messages and --help).
-  [[nodiscard]] std::string names() const;
-
-  /// Check `spec` against the named entry's parameter rules. Throws
-  /// std::invalid_argument on an unknown strategy name, an unknown
-  /// parameter key, or an out-of-range value.
-  void validate(const StrategySpec& spec) const;
-
-  /// `spec`, validated, with every unset parameter filled in from the
-  /// entry's declared defaults. This is the single source of truth for
-  /// effective values — factories and the simulator read the filled spec,
-  /// so a rule's documented default can never drift from what runs.
-  [[nodiscard]] StrategySpec with_defaults(const StrategySpec& spec) const;
-
-  /// Validate `spec` and build the strategy through the entry's factory.
-  [[nodiscard]] std::unique_ptr<Strategy> make(
-      const StrategySpec& spec, const ReplicaIndex& index,
-      const Topology& topology, const ExperimentConfig& config) const;
-
- private:
-  std::vector<StrategyEntry> entries_;
-};
+template <>
+const StrategyRegistry& StrategyRegistry::built_ins();
 
 /// FallbackPolicy <-> spec parameter code conversions (see spec.hpp for the
 /// symbolic keyword table).
 [[nodiscard]] double fallback_param(FallbackPolicy policy);
 [[nodiscard]] FallbackPolicy fallback_policy_from_param(double code);
 
-/// Parse and validate a batch of spec strings (e.g. repeated `--strategy`
-/// flags) against `registry`, all up front — so a typo in the last spec
-/// fails before the first expensive run, not after. Throws
-/// std::invalid_argument on the first bad spec.
-[[nodiscard]] std::vector<StrategySpec> parse_validated_specs(
+/// `registry.parse_validated(texts)` for repeated `--strategy` flags.
+[[nodiscard]] inline std::vector<StrategySpec> parse_validated_specs(
     const std::vector<std::string>& texts,
-    const StrategyRegistry& registry = StrategyRegistry::global());
+    const StrategyRegistry& registry = StrategyRegistry::global()) {
+  return registry.parse_validated(texts);
+}
 
 }  // namespace proxcache

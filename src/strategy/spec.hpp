@@ -20,9 +20,10 @@
 /// or the registry) so new strategy modules and external tools can speak it
 /// without pulling in the simulator.
 
-#include <map>
-#include <string>
+#include <span>
 #include <string_view>
+
+#include "util/kvspec.hpp"
 
 namespace proxcache {
 
@@ -32,34 +33,32 @@ inline constexpr double kSpecFallbackExpand = 0.0;
 inline constexpr double kSpecFallbackNearest = 1.0;
 inline constexpr double kSpecFallbackDrop = 2.0;
 
-/// A named strategy with keyword parameters. Unset keys mean "registry
-/// default"; the registry's per-strategy parameter rules decide which keys
-/// are legal and in what range.
-struct StrategySpec {
-  std::string name;                      ///< registry key, canonical lowercase
-  std::map<std::string, double> params;  ///< explicit parameters only
-
-  /// True when no strategy is named (configs fall back to the legacy knobs).
-  [[nodiscard]] bool empty() const { return name.empty(); }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return params.find(key) != params.end();
-  }
-
-  /// Parameter value, or `fallback` when the key is not set.
-  [[nodiscard]] double get_or(const std::string& key, double fallback) const;
-
-  /// Canonical spec string, e.g. `two-choice(beta=0.7, r=16)`. Keys are
-  /// emitted in sorted order; symbolic keywords and `inf` are restored.
-  [[nodiscard]] std::string to_string() const;
-
-  friend bool operator==(const StrategySpec&, const StrategySpec&) = default;
+/// Symbolic keyword values, keyed by parameter name. Only `fallback` has an
+/// enumerated domain today; adding a keyword here automatically teaches both
+/// the parser and `to_string`.
+inline constexpr SpecKeyword kStrategyKeywords[] = {
+    {"fallback", "expand", kSpecFallbackExpand},
+    {"fallback", "nearest", kSpecFallbackNearest},
+    {"fallback", "drop", kSpecFallbackDrop},
 };
+
+/// The strategy kind: message nouns and keyword table (util/kvspec.hpp).
+struct StrategySpecKind {
+  static constexpr std::string_view grammar = "strategy";
+  static constexpr std::string_view noun = "strategy";
+  static constexpr std::span<const SpecKeyword> keywords = kStrategyKeywords;
+};
+
+/// A named strategy with keyword parameters, e.g.
+/// `two-choice(beta=0.7, r=16)`.
+using StrategySpec = KvSpec<StrategySpecKind>;
 
 /// Parse a spec string. Tolerates surrounding/internal whitespace and any
 /// letter case; throws std::invalid_argument with a message pinpointing the
 /// offending token on malformed input (missing parenthesis, missing `=`,
 /// duplicate or empty key, unparseable value, trailing garbage).
-[[nodiscard]] StrategySpec parse_strategy_spec(std::string_view text);
+[[nodiscard]] inline StrategySpec parse_strategy_spec(std::string_view text) {
+  return StrategySpec::parse(text);
+}
 
 }  // namespace proxcache

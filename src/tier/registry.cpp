@@ -21,14 +21,14 @@ TierRegistry::TierRegistry() {
   // deliberately small regional back-end ring — small enough that a slice
   // of the library exists only at other PoPs or the origin, which is
   // exactly the regime where cross-tier candidate sets earn their keep.
-  presets_.push_back(make(
+  items_.push_back(make(
       "cdn", "8 torus edge PoPs over a 64-node back-end ring and an origin",
       "tiers(front=torus(side=8)x8, back=ring(n=64), origin=1)"));
-  presets_.push_back(make(
+  items_.push_back(make(
       "edge-core",
       "4 large edge tori over a torus core, fatter back-end caches",
       "tiers(front=torus(side=16)x4, back=torus(side=8), back_cache=20, origin=1)"));
-  presets_.push_back(make(
+  items_.push_back(make(
       "origin-only",
       "one flat torus backed directly by an origin (no mid tiers)",
       "tiers(front=torus(side=32), origin=1)"));
@@ -37,31 +37,6 @@ TierRegistry::TierRegistry() {
 const TierRegistry& TierRegistry::built_ins() {
   static const TierRegistry registry;
   return registry;
-}
-
-const TierPreset* TierRegistry::find(const std::string& name) const {
-  for (const TierPreset& preset : presets_) {
-    if (preset.name == name) return &preset;
-  }
-  return nullptr;
-}
-
-const TierPreset& TierRegistry::at(const std::string& name) const {
-  const TierPreset* preset = find(name);
-  if (preset == nullptr) {
-    throw std::invalid_argument("unknown tier preset '" + name +
-                                "' (known: " + names() + ")");
-  }
-  return *preset;
-}
-
-std::string TierRegistry::names() const {
-  std::string joined;
-  for (const TierPreset& preset : presets_) {
-    if (!joined.empty()) joined += ", ";
-    joined += preset.name;
-  }
-  return joined;
 }
 
 TierSpec TierRegistry::resolve(const std::string& text) const {

@@ -7,39 +7,27 @@
 /// name or a raw tier-spec string, so every CLI surface takes both.
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "tier/spec.hpp"
+#include "util/spec_registry.hpp"
 
 namespace proxcache {
 
 /// One named hierarchy preset.
 struct TierPreset {
+  static constexpr std::string_view noun = "tier preset";
+
   std::string name;     ///< registry key, e.g. "cdn"
   std::string summary;  ///< one-line description for --list output
   TierSpec spec;
 };
 
-/// Immutable collection of named tier presets.
-class TierRegistry {
+/// Immutable collection of named tier presets (`all`/`find`/`at`/`names`).
+class TierRegistry : public NamedCatalog<TierPreset> {
  public:
   /// The built-in presets (constructed once, parse-validated).
   static const TierRegistry& built_ins();
-
-  /// All presets in registration order.
-  [[nodiscard]] const std::vector<TierPreset>& all() const {
-    return presets_;
-  }
-
-  /// Preset by name, or nullptr when absent.
-  [[nodiscard]] const TierPreset* find(const std::string& name) const;
-
-  /// Preset by name; throws std::invalid_argument listing the known names
-  /// when absent.
-  [[nodiscard]] const TierPreset& at(const std::string& name) const;
-
-  /// Comma-separated names (for error messages and --help).
-  [[nodiscard]] std::string names() const;
 
   /// `text` as a TierSpec: a preset name resolves to its spec, anything
   /// else must parse under the tier grammar (tier/spec.hpp). Throws
@@ -49,8 +37,6 @@ class TierRegistry {
 
  private:
   TierRegistry();
-
-  std::vector<TierPreset> presets_;
 };
 
 }  // namespace proxcache

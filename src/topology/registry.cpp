@@ -1,6 +1,5 @@
 #include "topology/registry.hpp"
 
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,134 +23,25 @@ namespace {
 /// tighter per-entry ranges.
 constexpr std::size_t kMaxNodes = std::size_t{1} << 27;
 
-std::string format_range(double lo, double hi) {
-  std::ostringstream os;
-  os << '[' << lo << ", ";
-  if (std::isinf(hi)) {
-    os << "inf";
-  } else {
-    os << hi;
-  }
-  os << ']';
-  return os.str();
-}
-
 }  // namespace
 
-void TopologyRegistry::add(TopologyEntry entry) {
-  if (entry.name.empty()) {
-    throw std::invalid_argument("topology entry needs a non-empty name");
-  }
-  if (!entry.factory) {
-    throw std::invalid_argument("topology '" + entry.name +
-                                "' registered without a factory");
-  }
-  if (!entry.node_count) {
-    throw std::invalid_argument("topology '" + entry.name +
-                                "' registered without a node_count");
-  }
-  if (find(entry.name) != nullptr) {
-    throw std::invalid_argument("topology '" + entry.name +
-                                "' is already registered");
-  }
-  entries_.push_back(std::move(entry));
-}
-
-const TopologyEntry* TopologyRegistry::find(const std::string& name) const {
-  for (const TopologyEntry& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-const TopologyEntry& TopologyRegistry::at(const std::string& name) const {
-  const TopologyEntry* entry = find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown topology '" + name +
-                                "' (known: " + names() + ")");
-  }
-  return *entry;
-}
-
-std::string TopologyRegistry::names() const {
-  std::string joined;
-  for (const TopologyEntry& entry : entries_) {
-    if (!joined.empty()) joined += ", ";
-    joined += entry.name;
-  }
-  return joined;
-}
-
-void TopologyRegistry::validate(const TopologySpec& spec) const {
-  const TopologyEntry& entry = at(spec.name);
-  for (const auto& [key, value] : spec.params) {
-    const TopologyParamRule* rule = nullptr;
-    for (const TopologyParamRule& candidate : entry.params) {
-      if (candidate.key == key) {
-        rule = &candidate;
-        break;
-      }
-    }
-    if (rule == nullptr) {
-      std::string known;
-      for (const TopologyParamRule& candidate : entry.params) {
-        if (!known.empty()) known += ", ";
-        known += candidate.key;
-      }
-      throw std::invalid_argument(
-          "topology '" + spec.name + "' does not take parameter '" + key +
-          "' (known: " + (known.empty() ? "<none>" : known) + ")");
-    }
-    if (std::isnan(value) || value < rule->min_value ||
-        value > rule->max_value) {
-      std::ostringstream os;
-      os << "topology '" << spec.name << "' parameter '" << key << "' = "
-         << value << " is outside "
-         << format_range(rule->min_value, rule->max_value);
-      throw std::invalid_argument(os.str());
-    }
-    if (rule->integral && !std::isinf(value) &&
-        value != std::floor(value)) {
-      std::ostringstream os;
-      os << "topology '" << spec.name << "' parameter '" << key << "' = "
-         << value << " must be an integer";
-      throw std::invalid_argument(os.str());
-    }
-  }
-  // Cross-parameter check: the id space must hold the implied node count
-  // (e.g. tree(branching=64, depth=20) passes per-key ranges but not this).
-  TopologySpec filled = spec;
-  for (const TopologyParamRule& rule : entry.params) {
-    if (!filled.has(rule.key)) filled.params[rule.key] = rule.default_value;
-  }
-  const std::size_t nodes = entry.node_count(filled);
+void TopologyEntry::check(const TopologySpec& filled) const {
+  const std::size_t nodes = node_count(filled);
   if (nodes == 0 || nodes > kMaxNodes) {
     std::ostringstream os;
-    os << "topology '" << spec.name << "' implies " << nodes
+    os << "topology '" << filled.name << "' implies " << nodes
        << " nodes, outside [1, " << kMaxNodes << "]";
     throw std::invalid_argument(os.str());
   }
 }
 
-TopologySpec TopologyRegistry::with_defaults(const TopologySpec& spec) const {
-  validate(spec);
-  TopologySpec filled = spec;
-  for (const TopologyParamRule& rule : at(spec.name).params) {
-    if (!filled.has(rule.key)) filled.params[rule.key] = rule.default_value;
-  }
-  return filled;
+std::size_t node_count(const TopologyRegistry& registry,
+                       const TopologySpec& spec) {
+  const TopologySpec filled = registry.with_defaults(spec);
+  return registry.at(spec.name).node_count(filled);
 }
 
-std::size_t TopologyRegistry::node_count(const TopologySpec& spec) const {
-  const TopologySpec filled = with_defaults(spec);
-  return at(spec.name).node_count(filled);
-}
-
-std::shared_ptr<const Topology> TopologyRegistry::make(
-    const TopologySpec& spec) const {
-  return at(spec.name).factory(with_defaults(spec));
-}
-
+template <>
 const TopologyRegistry& TopologyRegistry::built_ins() {
   static const TopologyRegistry registry = [] {
     // side_max² <= kMaxNodes keeps the declared per-key range satisfiable —
@@ -265,11 +155,6 @@ const TopologyRegistry& TopologyRegistry::built_ins() {
   return registry;
 }
 
-TopologyRegistry& TopologyRegistry::global() {
-  static TopologyRegistry registry = with_built_ins();
-  return registry;
-}
-
 TopologySpec topology_spec_from_lattice(std::size_t num_nodes, Wrap wrap) {
   PROXCACHE_REQUIRE(Lattice::is_perfect_square(num_nodes),
                     "num_nodes must be a perfect square, got " +
@@ -280,18 +165,6 @@ TopologySpec topology_spec_from_lattice(std::size_t num_nodes, Wrap wrap) {
   spec.name = to_string(wrap);
   spec.params["side"] = static_cast<double>(side);
   return spec;
-}
-
-std::vector<TopologySpec> parse_validated_topology_specs(
-    const std::vector<std::string>& texts, const TopologyRegistry& registry) {
-  std::vector<TopologySpec> specs;
-  specs.reserve(texts.size());
-  for (const std::string& text : texts) {
-    TopologySpec spec = parse_topology_spec(text);
-    registry.validate(spec);
-    specs.push_back(std::move(spec));
-  }
-  return specs;
 }
 
 }  // namespace proxcache

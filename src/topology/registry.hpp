@@ -26,23 +26,9 @@
 #include "topology/lattice.hpp"
 #include "topology/spec.hpp"
 #include "topology/topology.hpp"
+#include "util/spec_registry.hpp"
 
 namespace proxcache {
-
-/// One legal parameter of a topology: inclusive range plus the value used
-/// when the spec leaves the key unset. (Same shape as StrategyParamRule —
-/// kept separate so the topology layer stays decoupled from the strategy
-/// module.)
-struct TopologyParamRule {
-  std::string key;
-  double min_value;
-  double max_value;  ///< inclusive; use infinity for unbounded keys
-  double default_value;
-  std::string doc;  ///< one-liner for --help / README tables
-  /// Whole numbers only; counts and sides set this so e.g. `side=2.7` is
-  /// rejected instead of silently truncating.
-  bool integral = false;
-};
 
 /// Builds a ready-to-query Topology from a defaults-filled spec. Returned
 /// as shared_ptr so contexts can share one materialized topology across a
@@ -53,74 +39,39 @@ using TopologyFactory =
 
 /// One registered topology.
 struct TopologyEntry {
+  using Spec = TopologySpec;
+
   std::string name;     ///< registry key, canonical lowercase
   std::string summary;  ///< one-line description for --list output
-  std::vector<TopologyParamRule> params;
+  std::vector<ParamRule> params;
   /// Node count implied by a defaults-filled spec (cheap, no
   /// materialization). Must agree with `factory(spec)->size()`.
   std::function<std::size_t(const TopologySpec&)> node_count;
   TopologyFactory factory;
-};
 
-/// Catalog of topology entries. `built_ins()` is the immutable default set;
-/// custom registries start from `with_built_ins()` and `add` their own.
-class TopologyRegistry {
- public:
-  /// An empty registry (for fully custom catalogs).
-  TopologyRegistry() = default;
-
-  /// The shared immutable catalog of built-in topologies.
-  static const TopologyRegistry& built_ins();
-
-  /// A mutable copy of the built-in catalog to extend with `add`.
-  static TopologyRegistry with_built_ins() { return built_ins(); }
-
-  /// The process-wide catalog the simulator consults (`validate`,
-  /// `SimulationContext`). Starts as a copy of `built_ins()`;
-  /// `global().add(...)` makes a custom topology runnable everywhere specs
-  /// are accepted. Register at startup, before experiments run.
-  static TopologyRegistry& global();
-
-  /// Register an entry; throws std::invalid_argument on a duplicate name
-  /// or an entry without a factory or node_count.
-  void add(TopologyEntry entry);
-
-  /// All entries in registration order.
-  [[nodiscard]] const std::vector<TopologyEntry>& all() const {
-    return entries_;
+  /// "node_count" when the entry has none (`SpecRegistry::add` refuses it).
+  [[nodiscard]] const char* missing() const {
+    return node_count ? nullptr : "node_count";
   }
 
-  /// Entry by name, or nullptr when absent.
-  [[nodiscard]] const TopologyEntry* find(const std::string& name) const;
-
-  /// Entry by name; throws std::invalid_argument listing the known names
-  /// when absent.
-  [[nodiscard]] const TopologyEntry& at(const std::string& name) const;
-
-  /// Comma-separated names (for error messages and --help).
-  [[nodiscard]] std::string names() const;
-
-  /// Check `spec` against the named entry's parameter rules. Throws
-  /// std::invalid_argument on an unknown topology name, an unknown
-  /// parameter key, an out-of-range value, or a node count the id space
-  /// cannot hold.
-  void validate(const TopologySpec& spec) const;
-
-  /// `spec`, validated, with every unset parameter filled in from the
-  /// entry's declared defaults.
-  [[nodiscard]] TopologySpec with_defaults(const TopologySpec& spec) const;
-
-  /// Node count implied by `spec` after validation + defaults (no
-  /// materialization).
-  [[nodiscard]] std::size_t node_count(const TopologySpec& spec) const;
-
-  /// Validate `spec` and build the topology through the entry's factory.
-  [[nodiscard]] std::shared_ptr<const Topology> make(
-      const TopologySpec& spec) const;
-
- private:
-  std::vector<TopologyEntry> entries_;
+  /// Cross-parameter rule: the id space must hold the node count a
+  /// defaults-filled spec implies (e.g. tree(branching=64, depth=20) passes
+  /// the per-key ranges but not this). Throws std::invalid_argument.
+  void check(const TopologySpec& filled) const;
 };
+
+/// Catalog of topology entries (util/spec_registry.hpp). `built_ins()` is
+/// the immutable default set; `global()` is what `ExperimentConfig` and
+/// `SimulationContext` consult. `make(spec)` validates and builds.
+using TopologyRegistry = SpecRegistry<TopologyEntry>;
+
+template <>
+const TopologyRegistry& TopologyRegistry::built_ins();
+
+/// Node count implied by `spec` after validation + defaults (no
+/// materialization).
+[[nodiscard]] std::size_t node_count(const TopologyRegistry& registry,
+                                     const TopologySpec& spec);
 
 /// Map the legacy lattice knobs (`num_nodes` perfect square + `Wrap`) onto
 /// the equivalent registry spec — `torus(side=√n)` / `grid(side=√n)`. This
@@ -128,11 +79,11 @@ class TopologyRegistry {
 [[nodiscard]] TopologySpec topology_spec_from_lattice(std::size_t num_nodes,
                                                       Wrap wrap);
 
-/// Parse and validate a batch of spec strings (e.g. repeated `--topology`
-/// flags) against `registry`, all up front. Throws std::invalid_argument
-/// on the first bad spec.
-[[nodiscard]] std::vector<TopologySpec> parse_validated_topology_specs(
+/// `registry.parse_validated(texts)` for repeated `--topology` flags.
+[[nodiscard]] inline std::vector<TopologySpec> parse_validated_topology_specs(
     const std::vector<std::string>& texts,
-    const TopologyRegistry& registry = TopologyRegistry::global());
+    const TopologyRegistry& registry = TopologyRegistry::global()) {
+  return registry.parse_validated(texts);
+}
 
 }  // namespace proxcache

@@ -1,9 +1,9 @@
 #pragma once
 /// \file spec.hpp
 /// Typed, open-ended description of a network topology: a registry name
-/// plus a flat `key -> double` parameter map, mirroring the strategy spec
-/// (strategy/spec.hpp) — same grammar (util/kvspec.hpp), same tolerance,
-/// same canonical round-trip:
+/// plus a flat `key -> double` parameter map, on the same grammar as the
+/// strategy specs (util/kvspec.hpp) — same tolerance, same canonical round
+/// trip:
 ///
 ///     torus(side=64)      grid(side=64)       ring(n=4096)
 ///     tree(branching=4, depth=6)
@@ -13,40 +13,29 @@
 /// binds it to a factory, and CLIs round-trip it through `--topology`.
 /// Standalone (no dependency on the registry or the simulator).
 
-#include <map>
-#include <string>
+#include <span>
 #include <string_view>
+
+#include "util/kvspec.hpp"
 
 namespace proxcache {
 
-/// A named topology with keyword parameters. Unset keys mean "registry
-/// default"; the registry's per-topology parameter rules decide which keys
-/// are legal and in what range.
-struct TopologySpec {
-  std::string name;                      ///< registry key, canonical lowercase
-  std::map<std::string, double> params;  ///< explicit parameters only
-
-  /// True when no topology is named (configs fall back to the legacy
-  /// `num_nodes` + `wrap` knobs).
-  [[nodiscard]] bool empty() const { return name.empty(); }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return params.find(key) != params.end();
-  }
-
-  /// Parameter value, or `fallback` when the key is not set.
-  [[nodiscard]] double get_or(const std::string& key, double fallback) const;
-
-  /// Canonical spec string, e.g. `tree(branching=4, depth=6)`. Keys are
-  /// emitted in sorted order.
-  [[nodiscard]] std::string to_string() const;
-
-  friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
+/// The topology kind: message nouns and (no) keywords.
+struct TopologySpecKind {
+  static constexpr std::string_view grammar = "topology";
+  static constexpr std::string_view noun = "topology";
+  static constexpr std::span<const SpecKeyword> keywords{};
 };
+
+/// A named topology with keyword parameters. An empty spec makes configs
+/// fall back to the legacy `num_nodes` + `wrap` knobs.
+using TopologySpec = KvSpec<TopologySpecKind>;
 
 /// Parse a topology spec string. Tolerates surrounding/internal whitespace
 /// and any letter case; throws std::invalid_argument with a message
 /// pinpointing the offending token on malformed input.
-[[nodiscard]] TopologySpec parse_topology_spec(std::string_view text);
+[[nodiscard]] inline TopologySpec parse_topology_spec(std::string_view text) {
+  return TopologySpec::parse(text);
+}
 
 }  // namespace proxcache

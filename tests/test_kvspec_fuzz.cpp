@@ -63,7 +63,7 @@ TEST(KvSpecFuzz, StrategyRegistryRoundTrips) {
     for (int iteration = 0; iteration < 64; ++iteration) {
       StrategySpec spec;
       spec.name = entry.name;
-      for (const StrategyParamRule& rule : entry.params) {
+      for (const ParamRule& rule : entry.params) {
         if (rng.below(2) == 0) continue;  // random subset of keys
         spec.params[rule.key] =
             draw_value(rng, rule.min_value, rule.max_value, rule.integral);
@@ -80,7 +80,7 @@ TEST(KvSpecFuzz, TopologyRegistryRoundTrips) {
     for (int iteration = 0; iteration < 64; ++iteration) {
       TopologySpec spec;
       spec.name = entry.name;
-      for (const TopologyParamRule& rule : entry.params) {
+      for (const ParamRule& rule : entry.params) {
         if (rng.below(2) == 0) continue;
         spec.params[rule.key] =
             draw_value(rng, rule.min_value, rule.max_value, rule.integral);
@@ -97,7 +97,7 @@ TEST(KvSpecFuzz, CachePolicyRegistryRoundTrips) {
     for (int iteration = 0; iteration < 64; ++iteration) {
       CachePolicySpec spec;
       spec.name = entry.name;
-      for (const CachePolicyParamRule& rule : entry.params) {
+      for (const ParamRule& rule : entry.params) {
         if (rng.below(2) == 0) continue;
         spec.params[rule.key] =
             draw_value(rng, rule.min_value, rule.max_value, rule.integral);

@@ -139,7 +139,7 @@ TEST(StrategyRegistry, WithDefaultsFillsDeclaredRuleValues) {
     StrategySpec bare;
     bare.name = entry.name;
     const StrategySpec filled = registry.with_defaults(bare);
-    for (const StrategyParamRule& rule : entry.params) {
+    for (const ParamRule& rule : entry.params) {
       EXPECT_TRUE(filled.has(rule.key)) << entry.name << "." << rule.key;
       EXPECT_EQ(filled.get_or(rule.key, -1.0), rule.default_value)
           << entry.name << "." << rule.key;
@@ -147,7 +147,7 @@ TEST(StrategyRegistry, WithDefaultsFillsDeclaredRuleValues) {
     // Explicit values win over the declared default.
     if (!entry.params.empty()) {
       StrategySpec custom = bare;
-      const StrategyParamRule& rule = entry.params.front();
+      const ParamRule& rule = entry.params.front();
       custom.params[rule.key] = rule.min_value;
       EXPECT_EQ(registry.with_defaults(custom).get_or(rule.key, -1.0),
                 rule.min_value);

@@ -120,7 +120,7 @@ TEST(StrategySpec, RoundTripsEveryRegisteredStrategy) {
     StrategySpec spec;
     spec.name = entry.name;
     EXPECT_EQ(parse_strategy_spec(spec.to_string()), spec) << entry.name;
-    for (const StrategyParamRule& rule : entry.params) {
+    for (const ParamRule& rule : entry.params) {
       spec.params[rule.key] = rule.default_value;
     }
     const StrategySpec reparsed = parse_strategy_spec(spec.to_string());
