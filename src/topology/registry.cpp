@@ -1,7 +1,7 @@
 #include "topology/registry.hpp"
 
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "topology/clique.hpp"
 #include "topology/graph_topology.hpp"
@@ -27,12 +27,15 @@ constexpr std::size_t kMaxNodes = std::size_t{1} << 27;
 
 void TopologyEntry::check(const TopologySpec& filled) const {
   const std::size_t nodes = node_count(filled);
-  if (nodes == 0 || nodes > kMaxNodes) {
-    std::ostringstream os;
-    os << "topology '" << filled.name << "' implies " << nodes
-       << " nodes, outside [1, " << kMaxNodes << "]";
-    throw std::invalid_argument(os.str());
-  }
+  if (nodes >= 1 && nodes <= kMaxNodes) return;
+  const auto ids = static_cast<std::size_t>(kInvalidNode);
+  const std::string count =
+      nodes > ids ? "more than " + std::to_string(ids) +
+                        " nodes (overflows the node id space)"
+                  : std::to_string(nodes) + " nodes";
+  throw std::invalid_argument("topology '" + filled.name + "' implies " +
+                              count + ", outside [1, " +
+                              std::to_string(kMaxNodes) + "]");
 }
 
 std::size_t node_count(const TopologyRegistry& registry,

@@ -45,7 +45,8 @@ struct TopologyEntry {
   std::string summary;  ///< one-line description for --list output
   std::vector<ParamRule> params;
   /// Node count implied by a defaults-filled spec (cheap, no
-  /// materialization). Must agree with `factory(spec)->size()`.
+  /// materialization). Must agree with `factory(spec)->size()`; a count
+  /// past the NodeId space may saturate at any larger value.
   std::function<std::size_t(const TopologySpec&)> node_count;
   TopologyFactory factory;
 

@@ -9,17 +9,15 @@ namespace proxcache {
 std::size_t TreeTopology::node_count(std::uint32_t branching,
                                      std::uint32_t depth) {
   PROXCACHE_REQUIRE(branching >= 1, "tree branching must be >= 1");
-  // Sum of b^l for l in [0, depth], with overflow checks against NodeId.
+  // Sum of b^l for l in [0, depth], saturating past the NodeId space.
   const std::size_t limit = static_cast<std::size_t>(kInvalidNode);
   std::size_t total = 0;
   std::size_t level_size = 1;
   for (std::uint32_t l = 0; l <= depth; ++l) {
-    PROXCACHE_REQUIRE(total <= limit - level_size,
-                      "tree node count overflows NodeId");
+    if (total > limit - level_size) return limit + 1;
     total += level_size;
     if (l < depth) {
-      PROXCACHE_REQUIRE(level_size <= limit / branching,
-                        "tree node count overflows NodeId");
+      if (level_size > limit / branching) return limit + 1;
       level_size *= branching;
     }
   }
@@ -30,6 +28,8 @@ TreeTopology::TreeTopology(std::uint32_t branching, std::uint32_t depth)
     : branching_(branching),
       depth_(depth),
       size_(node_count(branching, depth)) {
+  PROXCACHE_REQUIRE(size_ <= static_cast<std::size_t>(kInvalidNode),
+                    "tree node count overflows NodeId");
   level_first_.reserve(depth_ + 2);
   std::size_t first = 0;
   std::size_t level_size = 1;

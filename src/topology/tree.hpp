@@ -22,8 +22,9 @@ class TreeTopology final : public Topology {
   /// the NodeId space.
   TreeTopology(std::uint32_t branching, std::uint32_t depth);
 
-  /// Nodes of a complete b-ary tree of the given depth, as a checked
-  /// std::size_t (used by the registry to pre-validate specs).
+  /// Nodes of a complete b-ary tree of the given depth, or
+  /// `kInvalidNode + 1` when the count overflows the NodeId space (the
+  /// registry reports it; the constructor throws).
   static std::size_t node_count(std::uint32_t branching, std::uint32_t depth);
 
   [[nodiscard]] std::uint32_t branching() const { return branching_; }

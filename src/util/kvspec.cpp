@@ -94,14 +94,18 @@ double parse_value(const std::string& key, const std::string& token,
   return value;
 }
 
-/// Minimal representation that survives a parse round trip: integers print
-/// bare, `inf` stays symbolic, and anything else gets just enough digits.
 std::string format_value(const std::string& key, double value,
                          std::span<const SpecKeyword> keywords) {
-  if (std::isinf(value) && value > 0.0) return "inf";
   for (const SpecKeyword& keyword : keywords) {
     if (key == keyword.param && value == keyword.code) return keyword.word;
   }
+  return format_spec_number(value);
+}
+
+}  // namespace
+
+std::string format_spec_number(double value) {
+  if (std::isinf(value) && value > 0.0) return "inf";
   if (value == std::floor(value) && std::abs(value) < 1e15) {
     std::ostringstream os;
     os << static_cast<long long>(value);
@@ -115,8 +119,6 @@ std::string format_value(const std::string& key, double value,
   precise << value;
   return precise.str();
 }
-
-}  // namespace
 
 ParsedKvSpec parse_kv_spec(std::string_view text, std::string_view kind,
                            std::span<const SpecKeyword> keywords) {

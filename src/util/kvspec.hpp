@@ -48,6 +48,11 @@ struct ParsedKvSpec {
     const std::string& name, const std::map<std::string, double>& params,
     std::span<const SpecKeyword> keywords);
 
+/// Minimal representation of `value` that survives a parse round trip:
+/// integers print bare, `inf` stays symbolic, and anything else gets just
+/// enough digits. Spec strings and registry messages print numbers with it.
+[[nodiscard]] std::string format_spec_number(double value);
+
 /// A named spec of one kind: a registry name plus a flat `key -> double`
 /// parameter map. `Kind` is a tag naming the kind in messages and carrying
 /// its keyword table:

@@ -25,12 +25,13 @@
 /// `built_ins()` specialization listing the kind's entries.
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/kvspec.hpp"
 
 namespace proxcache {
 
@@ -221,23 +222,17 @@ class SpecRegistry : public NamedCatalog<Entry, typename Entry::Spec::Kind> {
       }
       if (std::isnan(value) || value < rule->min_value ||
           value > rule->max_value) {
-        std::ostringstream os;
-        os << quoted(spec.name) << " parameter '" << key << "' = " << value
-           << " is outside [" << rule->min_value << ", ";
-        if (std::isinf(rule->max_value)) {
-          os << "inf";
-        } else {
-          os << rule->max_value;
-        }
-        os << ']';
-        throw std::invalid_argument(os.str());
+        throw std::invalid_argument(
+            quoted(spec.name) + " parameter '" + key +
+            "' = " + format_spec_number(value) + " is outside [" +
+            format_spec_number(rule->min_value) + ", " +
+            format_spec_number(rule->max_value) + "]");
       }
       if (rule->integral && !std::isinf(value) &&
           value != std::floor(value)) {
-        std::ostringstream os;
-        os << quoted(spec.name) << " parameter '" << key << "' = " << value
-           << " must be an integer";
-        throw std::invalid_argument(os.str());
+        throw std::invalid_argument(quoted(spec.name) + " parameter '" + key +
+                                    "' = " + format_spec_number(value) +
+                                    " must be an integer");
       }
     }
     return entry;

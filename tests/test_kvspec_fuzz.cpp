@@ -323,18 +323,19 @@ TEST(KvSpecFuzz, RegistryCorpusLocksMessages) {
                "strategy 'two-choice' parameter 'beta' = nan is outside "
                "[0, 1]");
   expect_error(strategy, "two-choice(d=8.0000001)",
-               "strategy 'two-choice' parameter 'd' = 8 is outside [1, 8]");
+               "strategy 'two-choice' parameter 'd' = 8.0000000999999994 is "
+               "outside [1, 8]");
   expect_error(strategy, "two-choice(stale=4294967296)",
-               "strategy 'two-choice' parameter 'stale' = 4.29497e+09 is "
-               "outside [1, 4.29497e+09]");
+               "strategy 'two-choice' parameter 'stale' = 4294967296 is "
+               "outside [1, 4294967295]");
   expect_error(topology, "torus(side=0)",
                "topology 'torus' parameter 'side' = 0 is outside [1, 8192]");
   expect_error(topology, "rgg(radius=0)",
                "topology 'rgg' parameter 'radius' = 0 is outside [1e-09, "
                "1.5]");
   expect_error(topology, "rgg(n=16777217)",
-               "topology 'rgg' parameter 'n' = 1.67772e+07 is outside [2, "
-               "1.67772e+07]");
+               "topology 'rgg' parameter 'n' = 16777217 is outside [2, "
+               "16777216]");
   expect_error(policy, "ewma(decay=-0.1)",
                "cache policy 'ewma' parameter 'decay' = -0.1 is outside [0, "
                "inf]");
@@ -353,6 +354,9 @@ TEST(KvSpecFuzz, RegistryCorpusLocksMessages) {
   expect_error(topology, "tree(branching=4, depth=14)",
                "topology 'tree' implies 357913941 nodes, outside [1, "
                "134217728]");
+  expect_error(topology, "tree(branching=3, depth=24)",
+               "topology 'tree' implies more than 4294967295 nodes "
+               "(overflows the node id space), outside [1, 134217728]");
 
   // The batch helpers fail with the registry's own message.
   expect_error(
@@ -367,14 +371,14 @@ TEST(KvSpecFuzz, RegistryCorpusLocksMessages) {
         (void)parse_validated_topology_specs({"ring", text});
       },
       "ring(n=0)",
-      "topology 'ring' parameter 'n' = 0 is outside [1, 1.34218e+08]");
+      "topology 'ring' parameter 'n' = 0 is outside [1, 134217728]");
   expect_error(
       [](const std::string& text) {
         (void)parse_validated_policy_specs({"lru", text});
       },
       "lfu(capacity=-1)",
       "cache policy 'lfu' parameter 'capacity' = -1 is outside [0, "
-      "4.29497e+09]");
+      "4294967295]");
 }
 
 TEST(KvSpecFuzz, RegistryAddCorpusLocksMessages) {
