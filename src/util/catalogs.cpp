@@ -36,7 +36,7 @@ void print_catalogs(std::ostream& os) {
   os << "\n";
 
   Table policies({"cache policy", "summary"});
-  for (const CachePolicyEntry& entry : CachePolicyRegistry::built_ins().all()) {
+  for (const CachePolicyEntry& entry : CachePolicyRegistry::global().all()) {
     policies.add_row({Cell(entry.name), Cell(entry.summary)});
   }
   policies.print(os);
