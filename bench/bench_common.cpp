@@ -13,11 +13,13 @@ BenchOptions parse_bench_options(int argc, const char* const* argv,
   ArgParser args(name, description);
   args.add_int("runs", 0,
                "replications per sweep point (0 = preset: quick unless "
-               "--full)");
+               "--full)",
+               0);
   args.add_flag("full", "use paper-scale replication counts");
   args.add_flag("csv", "emit CSV rows instead of aligned tables");
   args.add_int("seed", 0x5EED, "root seed for all randomness");
-  args.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
+  args.add_int("threads", 0, "worker threads (0 = hardware concurrency)", 0,
+               ThreadPool::kMaxThreads);
   try {
     args.parse(argc, argv);
   } catch (const CliError& error) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scenario/registry.hpp"
 #include "strategy/registry.hpp"
 #include "tier/materialize.hpp"
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
   args.add_flag("list",
                 "print the registered scenarios, strategies, topologies, "
                 "cache policies and tier presets, then exit");
-  args.add_int("runs", 20, "Monte-Carlo replications per matrix cell");
+  args.add_int("runs", 20, "Monte-Carlo replications per matrix cell", 1);
   args.add_int("seed", 0x5EED, "root seed");
   args.add_int("n", 0,
                "override server count for 'default' topologies (perfect "
@@ -75,11 +76,13 @@ int main(int argc, char** argv) {
   args.add_int("requests", 0, "override requests per run (0 = n requests)");
   args.add_int("threads", 0,
                "replication-pool workers, one run per task (0 = hardware "
-               "concurrency)");
+               "concurrency)",
+               0, ThreadPool::kMaxThreads);
   args.add_int("run-threads", 1,
                "engine width *within* each run: >= 2 routes runs through "
                "the sharded split-phase engine (its own seed contract; see "
-               "parallel/sharded_runner.hpp)");
+               "parallel/sharded_runner.hpp)",
+               1, ThreadPool::kMaxThreads);
   args.add_flag("csv", "emit CSV instead of an aligned table");
   args.add_int("max-rss-mb", 0,
                "fail (exit 1) when process peak RSS exceeds this many MiB "

@@ -1,8 +1,12 @@
 #include "parallel/thread_pool.hpp"
 
+#include "util/contracts.hpp"
+
 namespace proxcache {
 
 ThreadPool::ThreadPool(unsigned threads) {
+  PROXCACHE_REQUIRE(threads <= kMaxThreads,
+                    "thread pool size must be at most 1024 workers");
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }

@@ -22,7 +22,13 @@ namespace proxcache {
 /// Fixed-size thread pool; destruction drains already-submitted work.
 class ThreadPool {
  public:
+  /// Most workers one pool may spawn — the cap `config.threads` and the
+  /// sharded engine share.
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// Spawn `threads` workers (0 = hardware concurrency, at least 1).
+  /// Throws std::invalid_argument, before spawning any, when `threads`
+  /// exceeds kMaxThreads.
   explicit ThreadPool(unsigned threads = 0);
 
   /// Blocks until all queued tasks complete, then joins the workers.

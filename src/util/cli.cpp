@@ -33,6 +33,14 @@ double parse_double(const std::string& name, const std::string& text) {
   }
 }
 
+/// "in [lo, hi]", or ">= lo" when the range has no upper bound.
+std::string range_text(std::int64_t lo, std::int64_t hi) {
+  if (hi == std::numeric_limits<std::int64_t>::max()) {
+    return ">= " + std::to_string(lo);
+  }
+  return "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+}
+
 }  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
@@ -47,11 +55,14 @@ void ArgParser::register_option(const std::string& name, Option opt) {
 }
 
 void ArgParser::add_int(const std::string& name, std::int64_t def,
-                        const std::string& help) {
+                        const std::string& help, std::int64_t min,
+                        std::int64_t max) {
   Option opt;
   opt.kind = Kind::Int;
   opt.help = help;
   opt.int_value = def;
+  opt.int_min = min;
+  opt.int_max = max;
   register_option(name, std::move(opt));
 }
 
@@ -138,6 +149,11 @@ ArgParser& ArgParser::parse(int argc, const char* const* argv) {
     switch (opt.kind) {
       case Kind::Int:
         opt.int_value = parse_int(name, value);
+        if (opt.int_value < opt.int_min || opt.int_value > opt.int_max) {
+          throw CliError("option --" + name + " must be " +
+                         range_text(opt.int_min, opt.int_max) + ", got " +
+                         value);
+        }
         break;
       case Kind::Double:
         opt.double_value = parse_double(name, value);

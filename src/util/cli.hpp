@@ -15,6 +15,7 @@
 /// `help_requested() == true`; callers are expected to exit cleanly.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -33,9 +34,12 @@ class ArgParser {
  public:
   ArgParser(std::string program, std::string description);
 
-  /// Register an integer option with a default value.
+  /// Register an integer option with a default value. A command-line value
+  /// outside [min, max] makes `parse` throw CliError.
   void add_int(const std::string& name, std::int64_t def,
-               const std::string& help);
+               const std::string& help,
+               std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+               std::int64_t max = std::numeric_limits<std::int64_t>::max());
   /// Register a floating-point option with a default value.
   void add_double(const std::string& name, double def, const std::string& help);
   /// Register a string option with a default value.
@@ -76,6 +80,8 @@ class ArgParser {
     Kind kind;
     std::string help;
     std::int64_t int_value = 0;
+    std::int64_t int_min = 0;
+    std::int64_t int_max = 0;
     double double_value = 0.0;
     std::string string_value;
     std::vector<std::string> list_value;

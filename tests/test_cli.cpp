@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -62,6 +63,32 @@ TEST(Cli, NegativeNumbersParse) {
   const auto argv = argv_of({"--offset", "-5"});
   args.parse(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(args.get_int("offset"), -5);
+}
+
+TEST(Cli, IntRangeIsCheckedAtParse) {
+  ArgParser args("p", "d");
+  args.add_int("threads", 0, "workers", 0, 1024);
+  args.add_int("runs", 20, "replications", 1);
+  const std::pair<std::vector<const char*>, const char*> rejected[] = {
+      {argv_of({"--threads", "-1"}),
+       "option --threads must be in [0, 1024], got -1"},
+      {argv_of({"--threads", "1025"}),
+       "option --threads must be in [0, 1024], got 1025"},
+      {argv_of({"--runs", "0"}), "option --runs must be >= 1, got 0"},
+      {argv_of({"--runs=-1"}), "option --runs must be >= 1, got -1"},
+  };
+  for (const auto& [argv, message] : rejected) {
+    try {
+      args.parse(static_cast<int>(argv.size()), argv.data());
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const CliError& error) {
+      EXPECT_STREQ(error.what(), message);
+    }
+  }
+  const auto argv = argv_of({"--threads", "1024", "--runs", "1"});
+  args.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(args.get_int("threads"), 1024);
+  EXPECT_EQ(args.get_int("runs"), 1);
 }
 
 TEST(Cli, UnknownOptionThrows) {

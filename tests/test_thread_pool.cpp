@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <numeric>
 #include <stdexcept>
 
@@ -24,6 +25,13 @@ TEST(ThreadPool, DefaultsToAtLeastOneThread) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+}
+
+// The cap is checked before any worker starts, so these spawn nothing.
+TEST(ThreadPool, RejectsMoreThanTheCap) {
+  EXPECT_THROW(ThreadPool(1025), std::invalid_argument);
+  // What a negative count becomes after a cast to unsigned.
+  EXPECT_THROW(ThreadPool(UINT_MAX), std::invalid_argument);
 }
 
 TEST(ThreadPool, ManyTasksAllComplete) {
