@@ -24,8 +24,7 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def result_row(strategy: str, rps: float) -> dict:
-    return {"strategy": strategy, "threads": 1, "commit_mode": "serial",
-            "requests_per_sec": rps}
+    return {"strategy": strategy, "threads": 1, "requests_per_sec": rps}
 
 
 def dynamic_row(strategy: str, policy: str, topology: str,

@@ -13,7 +13,7 @@ namespace proxcache {
 /// Strategy I. Holds a reference to the query index (which must outlive it).
 /// Split-phase trivially: load-oblivious, so the whole decision happens in
 /// `propose` and `choose` only replays it.
-class NearestReplicaStrategy final : public SplitPhaseStrategy {
+class NearestReplicaStrategy final : public Strategy {
  public:
   explicit NearestReplicaStrategy(const ReplicaIndex& index) : index_(&index) {}
 
@@ -25,11 +25,6 @@ class NearestReplicaStrategy final : public SplitPhaseStrategy {
                                   Rng& rng) const override;
 
   [[nodiscard]] std::string name() const override { return "nearest-replica"; }
-
-  /// Load-oblivious: `choose` reads no loads at all (decided proposals).
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
 
  private:
   const ReplicaIndex* index_;

@@ -42,13 +42,6 @@ class StaleLoadView final : public LoadView {
 
   [[nodiscard]] std::uint32_t period() const { return period_; }
 
-  /// Raw contiguous view of the snapshot (the sharded engine's speculation
-  /// validation reads it directly; see parallel/sharded_runner.hpp). The
-  /// per-node values change only at refresh points, and each refresh can
-  /// only raise them (the live loads are monotone counters), so a value
-  /// comparison against this array is an exact "changed since?" test.
-  [[nodiscard]] const Load* data() const { return snapshot_.data(); }
-
  private:
   const LoadTracker* live_;
   std::uint32_t period_;

@@ -3,27 +3,24 @@
 /// The assignment-strategy interface: given the next request and the
 /// current loads, pick the serving node (paper §II-B "assignment strategy").
 ///
-/// Two protocols live here:
+/// One protocol lives here, split in two halves — the seam the sharded
+/// engine (src/parallel/sharded_runner.hpp) parallelizes across. The key
+/// observation: for every built-in policy the *expensive* per-request work
+/// (candidate discovery via shell walks or reservoir passes, distance and
+/// weight computation, fallback-radius expansion) never reads the load
+/// vector, while the *cheap* final step (min-load comparison plus tie-break
+/// draws) is the only load-dependent part. `propose` performs all
+/// load-independent work — including every RNG draw whose count does not
+/// depend on loads — and records the candidate set; `choose` consumes live
+/// loads and finishes the decision on the same stream.
 ///
-///  * `Strategy::assign` — the historical one-shot call: request + loads +
-///    rng in, decision out. Every strategy implements it (custom registry
-///    extensions may implement only it).
-///
-///  * The split-phase pair `propose`/`choose` — the seam the sharded engine
-///    (src/parallel/sharded_runner.hpp) parallelizes across. The key
-///    observation: for every built-in policy the *expensive* per-request
-///    work (candidate discovery via shell walks or reservoir passes,
-///    distance and weight computation, fallback-radius expansion) never
-///    reads the load vector, while the *cheap* final step (min-load
-///    comparison plus tie-break draws) is the only load-dependent part.
-///    `propose` performs all load-independent work — including every RNG
-///    draw whose count does not depend on loads — and records the candidate
-///    set; `choose` consumes live loads and finishes the decision on the
-///    same stream. The composition `propose; choose` on one Rng is
-///    bit-identical to the historical `assign` (locked by the golden
-///    masters in tests/test_determinism.cpp), which is what lets the serial
-///    engine run unchanged while the sharded engine runs `propose` on a
-///    worker pool and `choose` serially in request order.
+/// `Strategy::assign` is the one-shot composition `propose; choose` on one
+/// Rng, with a private arena. The serial loop, the event engine and the
+/// supermarket model call it; the sharded engine runs `propose` on a worker
+/// pool and `choose` serially in request order. Because `assign` is not
+/// virtual, the two paths cannot drift apart: the serial engine's golden
+/// masters (tests/test_determinism.cpp) lock the halves the sharded engine
+/// runs.
 
 #include <cstdint>
 #include <string>
@@ -32,7 +29,6 @@
 #include "core/metrics.hpp"
 #include "core/request.hpp"
 #include "random/rng.hpp"
-#include "util/contracts.hpp"
 #include "util/types.hpp"
 
 namespace proxcache {
@@ -94,26 +90,14 @@ class Strategy {
  public:
   virtual ~Strategy() = default;
 
-  /// Decide where `request` is served.
-  virtual Assignment assign(const Request& request, const LoadView& loads,
-                            Rng& rng) = 0;
-
-  /// True when this strategy implements the split-phase protocol below and
-  /// the sharded engine may run `propose` off-thread. Strategies that only
-  /// implement `assign` (e.g. registry extensions) return false and are
-  /// executed on the serial commit path — still correct, just not sped up.
-  [[nodiscard]] virtual bool split_phase() const { return false; }
-
-  /// The speculative-choose seam: true when `choose` reads *only* the loads
-  /// of the candidates recorded in its proposal window (never some other
-  /// node's load). That property is what lets the sharded engine run
-  /// `choose` speculatively off-thread against a per-candidate load
-  /// snapshot and accept the result once the committer proves those loads
-  /// did not change (see parallel/sharded_runner.hpp). All four built-ins
-  /// qualify; the conservative default keeps out-of-tree strategies on the
-  /// non-speculative commit path unless they opt in.
-  [[nodiscard]] virtual bool choose_reads_candidates_only() const {
-    return false;
+  /// Decide where `request` is served: `propose` then `choose` on the
+  /// caller's stream, with a private arena.
+  Assignment assign(const Request& request, const LoadView& loads,
+                    Rng& rng) {
+    scratch_.clear();
+    Proposal proposal;
+    propose(request, rng, scratch_, proposal);
+    return choose(request, proposal, scratch_, loads, rng);
   }
 
   /// Load-independent half: discover candidates (appending them to
@@ -121,64 +105,25 @@ class Strategy {
   /// count does not depend on loads. May mutate strategy-local scratch, so
   /// each concurrent caller needs its own instance ("lane").
   virtual void propose(const Request& request, Rng& rng,
-                       CandidateArena& arena, Proposal& out) {
-    (void)request;
-    (void)rng;
-    (void)arena;
-    (void)out;
-    PROXCACHE_CHECK(false, "propose() called on a non-split-phase strategy");
-  }
+                       CandidateArena& arena, Proposal& out) = 0;
 
   /// Load-dependent half: finish `proposal` against live `loads`,
   /// continuing on the *same* Rng stream `propose` left off. Must be
-  /// callable concurrently with `propose` on *other* instances — and with
-  /// other `choose` calls on *this* instance (the speculation chase task
-  /// and the committer overlap on the shared commit-side strategy) — hence
-  /// const: it may not touch strategy-local scratch (the arena window is
-  /// its scratch — it may mutate that in place).
+  /// callable concurrently with `propose` on *other* instances (the
+  /// sharded engine's commit thread chooses while the lanes propose the
+  /// next batch), hence const: it may not touch strategy-local scratch
+  /// (the arena window is its scratch — it may mutate that in place).
   [[nodiscard]] virtual Assignment choose(const Request& request,
                                           const Proposal& proposal,
                                           CandidateArena& arena,
                                           const LoadView& loads,
-                                          Rng& rng) const {
-    (void)request;
-    (void)proposal;
-    (void)arena;
-    (void)loads;
-    (void)rng;
-    PROXCACHE_CHECK(false, "choose() called on a non-split-phase strategy");
-    return {};
-  }
+                                          Rng& rng) const = 0;
 
   /// Short identifier for logs/tables, e.g. "nearest" or "two-choice(r=16)".
   [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Base for strategies implementing the split-phase protocol: `assign` is
-/// pinned to the `propose; choose` composition on the caller's stream, so
-/// the one-shot and split-phase paths cannot drift apart — the serial
-/// engine's golden masters transitively lock the sharded engine's halves.
-class SplitPhaseStrategy : public Strategy {
- public:
-  [[nodiscard]] bool split_phase() const final { return true; }
-
-  Assignment assign(const Request& request, const LoadView& loads,
-                    Rng& rng) final {
-    scratch_.clear();
-    Proposal proposal;
-    propose(request, rng, scratch_, proposal);
-    return choose(request, proposal, scratch_, loads, rng);
-  }
-
-  void propose(const Request& request, Rng& rng, CandidateArena& arena,
-               Proposal& out) override = 0;
-  [[nodiscard]] Assignment choose(const Request& request,
-                                  const Proposal& proposal,
-                                  CandidateArena& arena, const LoadView& loads,
-                                  Rng& rng) const override = 0;
 
  private:
-  CandidateArena scratch_;  ///< one-shot path's private arena
+  CandidateArena scratch_;  ///< `assign`'s private arena
 };
 
 /// Shared tail of `choose` for proposals `propose` already finalized.

@@ -38,7 +38,7 @@ struct TwoChoiceOptions {
 /// The proximity-aware d-choice strategy. Split-phase: the (1+β) draw,
 /// candidate sampling, fallback handling and per-candidate distances all
 /// happen in `propose`; `choose` is just the d-way min-load comparison.
-class TwoChoiceStrategy final : public SplitPhaseStrategy {
+class TwoChoiceStrategy final : public Strategy {
  public:
   TwoChoiceStrategy(const ReplicaIndex& index, TwoChoiceOptions options);
 
@@ -50,11 +50,6 @@ class TwoChoiceStrategy final : public SplitPhaseStrategy {
                                   Rng& rng) const override;
 
   [[nodiscard]] std::string name() const override;
-
-  /// `choose` is the d-way min-load scan over the recorded window only.
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
 
   /// Observer invoked with the full candidate set of every request that
   /// sampled >= 2 candidates (before the load comparison). Used by the

@@ -33,7 +33,7 @@ struct LeastLoadedOptions {
 /// the recorded (node, distance) window with the tie-break draws — the
 /// same event order as the historical interleaved pass, because loads
 /// cannot change between the two halves of one request.
-class LeastLoadedStrategy final : public SplitPhaseStrategy {
+class LeastLoadedStrategy final : public Strategy {
  public:
   LeastLoadedStrategy(const ReplicaIndex& index, LeastLoadedOptions options)
       : index_(&index), options_(options) {}
@@ -46,11 +46,6 @@ class LeastLoadedStrategy final : public SplitPhaseStrategy {
                                   Rng& rng) const override;
 
   [[nodiscard]] std::string name() const override;
-
-  /// The min-scan touches only the recorded (node, distance) window.
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
 
  private:
   const ReplicaIndex* index_;

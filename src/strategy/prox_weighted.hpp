@@ -41,7 +41,7 @@ struct ProxWeightedOptions {
 /// that finds no positive weight left takes the nearest remaining
 /// candidate, uniform among equal distances: the limit of the weighted
 /// draw.
-class ProxWeightedStrategy final : public SplitPhaseStrategy {
+class ProxWeightedStrategy final : public Strategy {
  public:
   /// Largest hop value the weight table holds: the largest torus diameter
   /// (side 8192). Longer distances — a long ring or grid, or a landmark
@@ -59,11 +59,6 @@ class ProxWeightedStrategy final : public SplitPhaseStrategy {
                                   Rng& rng) const override;
 
   [[nodiscard]] std::string name() const override;
-
-  /// Every weighted pick and load read resolves inside the recorded window.
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
 
  private:
   /// `(1 + d)^-alpha`, from the table when `d` is in it.

@@ -3,10 +3,9 @@
 /// Cross-tier assignment strategies (the DistCache extension, PAPERS.md):
 /// the hierarchy-aware counterparts of the flat paper strategies, routing
 /// over a `TieredTopology` through per-tier slices of the global replica
-/// lists. All three are split-phase (core/strategy.hpp), so they run on
-/// the serial and sharded engines alike, and all three finish `choose`
-/// deterministically — no load-dependent RNG — which keeps the sharded
-/// engine's speculation valid (`choose_reads_candidates_only`).
+/// lists. All three run on the serial and sharded engines alike through
+/// the propose/choose protocol (core/strategy.hpp), and all three finish
+/// `choose` deterministically — no load-dependent RNG.
 ///
 ///  * `cross-two-choice` — DistCache's power-of-two-choices *across*
 ///    layers: hash the file to one replica per cache tier, serve the
@@ -69,7 +68,7 @@ class TierScopes {
 };
 
 /// DistCache cross-layer two-choice.
-class CrossTwoChoiceStrategy final : public SplitPhaseStrategy {
+class CrossTwoChoiceStrategy final : public Strategy {
  public:
   explicit CrossTwoChoiceStrategy(const TieredTopology& topology,
                                   const Placement& placement)
@@ -81,9 +80,6 @@ class CrossTwoChoiceStrategy final : public SplitPhaseStrategy {
                                   const Proposal& proposal,
                                   CandidateArena& arena, const LoadView& loads,
                                   Rng& rng) const override;
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
   [[nodiscard]] std::string name() const override {
     return "cross-two-choice";
   }
@@ -93,7 +89,7 @@ class CrossTwoChoiceStrategy final : public SplitPhaseStrategy {
 };
 
 /// Load-oblivious miss cascade front → … → origin.
-class FrontFirstStrategy final : public SplitPhaseStrategy {
+class FrontFirstStrategy final : public Strategy {
  public:
   explicit FrontFirstStrategy(const TieredTopology& topology,
                               const Placement& placement)
@@ -105,9 +101,6 @@ class FrontFirstStrategy final : public SplitPhaseStrategy {
                                   const Proposal& proposal,
                                   CandidateArena& arena, const LoadView& loads,
                                   Rng& rng) const override;
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;  // decided in propose; choose reads nothing at all
-  }
   [[nodiscard]] std::string name() const override { return "front-first"; }
 
  private:
@@ -120,7 +113,7 @@ struct CrossProxWeightedOptions {
 };
 
 /// Distance-discounted cross-tier candidates.
-class CrossProxWeightedStrategy final : public SplitPhaseStrategy {
+class CrossProxWeightedStrategy final : public Strategy {
  public:
   CrossProxWeightedStrategy(const TieredTopology& topology,
                             const Placement& placement,
@@ -133,9 +126,6 @@ class CrossProxWeightedStrategy final : public SplitPhaseStrategy {
                                   const Proposal& proposal,
                                   CandidateArena& arena, const LoadView& loads,
                                   Rng& rng) const override;
-  [[nodiscard]] bool choose_reads_candidates_only() const override {
-    return true;
-  }
   [[nodiscard]] std::string name() const override;
 
  private:

@@ -1,14 +1,11 @@
-// Differential suite for the sharded split-phase engine
-// (parallel/sharded_runner.hpp), mirroring test_streaming_equivalence: for
-// every scenario preset × all four strategies × torus/ring/rgg, and for the
-// stale/fallback/policy corners, the sharded run must be bit-identical
-// across thread counts {2, 4, 8}, across commit modes (speculative vs
-// serial re-choose — validation accepts a speculation only when it is
-// provably the value the serial schedule would compute), *and* to the
-// engine's own serial schedule (a width-1 ShardedRunner executing the
+// Differential suite for the sharded engine (parallel/sharded_runner.hpp),
+// mirroring test_streaming_equivalence: for every scenario preset × all four
+// strategies × torus/ring/rgg, and for the stale/fallback/policy corners,
+// the sharded run must be bit-identical across thread counts {2, 4, 8} *and*
+// to the engine's own serial schedule (a width-1 ShardedRunner executing the
 // identical propose/commit sequence inline). That is the engine's
-// determinism contract: no RunResult field may ever depend on thread
-// count, batch size, speculation window, or scheduling.
+// determinism contract: no RunResult field may ever depend on thread count,
+// batch size, or scheduling.
 //
 // Note the contract boundary: the sharded engine is deliberately *not*
 // bit-identical to the `threads = 1` serial loop (per-request pinned
@@ -48,12 +45,9 @@ void expect_bit_identical(const RunResult& reference, const RunResult& other,
       << label;
 }
 
-/// Serial reference vs threads ∈ {2, 4, 8} (speculation on, the default),
-/// vs the serial-commit mode (speculation off), and through the
+/// Serial reference vs threads ∈ {2, 4, 8} and through the
 /// SimulationContext dispatch (`config.threads`). Every differential is
-/// against the same width-1 reference, so this simultaneously proves the
-/// thread-invariance and the speculative-vs-serial-commit equivalence for
-/// each scenario that calls it.
+/// against the same width-1 reference.
 void expect_thread_invariant(const SimulationContext& context,
                              const std::string& label,
                              std::uint64_t runs = 2) {
@@ -69,14 +63,6 @@ void expect_thread_invariant(const SimulationContext& context,
           reference, sharded,
           run_label + " threads=" + std::to_string(threads));
     }
-    // Commit mode is a pure throughput dial: turning speculation off must
-    // reproduce the identical result (here at width 4; the widths above
-    // already pin the speculative side).
-    expect_bit_identical(
-        reference,
-        ShardedRunner(context, {4, batch, /*speculate=*/false})
-            .run(run_index),
-        run_label + " commit=serial");
     // The config knob routes through the same engine.
     ExperimentConfig config = context.config();
     config.threads = 2;
@@ -216,46 +202,11 @@ TEST(ShardedEquivalence, BatchSizeInvariance) {
   }
 }
 
-// The speculation window, like the batch, is a pure throughput dial: a
-// degenerate window of 1 (snapshot every request), a prime 5, and the
-// default 32 must all match the serial-commit result bit-for-bit. The
-// config knobs route through the same engine.
-TEST(ShardedEquivalence, SpecWindowInvariance) {
-  ExperimentConfig config;
-  config.num_nodes = 400;
-  config.num_files = 80;
-  config.cache_size = 6;
-  config.strategy_spec = parse_strategy_spec("two-choice");
-  config.shard_batch = 96;
-  config.seed = 0x59EC;
-  const SimulationContext context(config);
-  const RunResult reference =
-      ShardedRunner(context, {4, 96, /*speculate=*/false}).run(0);
-  for (const std::size_t window :
-       {std::size_t{1}, std::size_t{5}, std::size_t{32}}) {
-    expect_bit_identical(
-        reference,
-        ShardedRunner(context, {4, 96, true, window}).run(0),
-        "spec_window=" + std::to_string(window));
-  }
-  ExperimentConfig knobs = config;
-  knobs.threads = 4;
-  knobs.shard_speculate = true;
-  knobs.shard_spec_window = 5;
-  expect_bit_identical(reference, SimulationContext(knobs).run(0),
-                       "via config.shard_spec_window");
-  knobs.shard_speculate = false;
-  expect_bit_identical(reference, SimulationContext(knobs).run(0),
-                       "via config.shard_speculate=false");
-}
-
-// Forced-conflict stress: a tiny node set under a hotspot trace makes a
-// candidate-load change within the staleness window near-certain, so the
-// validation/re-choose path runs constantly. The result must still be
-// bit-identical to the serial-commit mode at width 8 — conflicts may cost
-// time, never correctness — and the run must actually provoke conflicts,
-// or the stress proves nothing.
-TEST(ShardedEquivalence, ForcedConflictHotspotStress) {
+// Hotspot stress: a tiny node set under a Zipf(2.5) trace, where the head
+// file takes most of the requests, so consecutive requests keep comparing
+// the same few candidates while the loads they read change under every
+// commit. Every width up to 8 must reproduce the width-1 schedule.
+TEST(ShardedEquivalence, HotspotWidthInvariance) {
   ExperimentConfig config;
   config.num_nodes = 64;
   config.num_files = 10;
@@ -266,63 +217,13 @@ TEST(ShardedEquivalence, ForcedConflictHotspotStress) {
   config.shard_batch = 256;
   config.seed = 0x5F0;
   const SimulationContext context(config);
-  const RunResult reference =
-      ShardedRunner(context, {8, 256, /*speculate=*/false}).run(0);
-  ShardStats stats;
-  const RunResult speculative =
-      ShardedRunner(context, {8, 256, true, 32}).run(0, &stats);
-  expect_bit_identical(reference, speculative, "hotspot width=8");
-  EXPECT_GT(stats.spec_attempted, 0u) << "hotspot must engage speculation";
-  EXPECT_GT(stats.spec_conflicts, 0u)
-      << "hotspot must provoke conflicts or the re-choose path is untested";
-  EXPECT_GT(stats.spec_hits, 0u)
-      << "even a hotspot leaves some windows unchanged";
+  expect_thread_invariant(context, "hotspot", 1);
 }
 
-// The speculation counters are schedule-determined, not race-determined:
-// which requests are attempted, which windows conflict, and which
-// proposals bypass the cap all follow from the trace and the windowed
-// snapshot schedule, so every counter must be identical at every width.
-TEST(ShardedEquivalence, SpecCountersInvariantAcrossWidths) {
-  ExperimentConfig config;
-  config.num_nodes = 144;
-  config.num_files = 40;
-  config.cache_size = 5;
-  config.popularity.kind = PopularityKind::Zipf;
-  config.popularity.gamma = 1.4;
-  config.strategy_spec = parse_strategy_spec("two-choice(r=4)");
-  config.shard_batch = 128;
-  config.seed = 0xC0DE;
-  const SimulationContext context(config);
-  ShardStats reference;
-  const RunResult reference_result =
-      ShardedRunner(context, {1, 128}).run(0, &reference);
-  EXPECT_GT(reference.spec_windows, 0u);
-  EXPECT_GT(reference.spec_attempted, 0u);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    ShardStats stats;
-    const RunResult result =
-        ShardedRunner(context, {threads, 128}).run(0, &stats);
-    expect_bit_identical(reference_result, result, label);
-    EXPECT_EQ(stats.spec_windows, reference.spec_windows) << label;
-    EXPECT_EQ(stats.spec_attempted, reference.spec_attempted) << label;
-    EXPECT_EQ(stats.spec_hits, reference.spec_hits) << label;
-    EXPECT_EQ(stats.spec_conflicts, reference.spec_conflicts) << label;
-    EXPECT_EQ(stats.spec_decided, reference.spec_decided) << label;
-    EXPECT_EQ(stats.spec_bypassed, reference.spec_bypassed) << label;
-  }
-}
-
-// The commit phase now launches up to two chase tasks: the second one is
-// submitted only when the pool has at least two workers (width >= 3).
-// The window state machine admits any number of claimants — each window
-// is claimed exactly once via CAS and every claim is value-validated —
-// so one chaser, two chasers, and the serial-commit path must all land
-// on the identical RunResult. Width 2 runs a single chaser, widths 3/4/8
-// engage the dual-chase protocol; all compare against a width-1
-// reference in speculative mode.
-TEST(ShardedEquivalence, DualChaseWidthInvariance) {
+// Wide candidate windows (least-loaded records every replica within radius
+// 8) over small batches, at every width from 2 to 4 and at 8. This is the
+// only case that runs width 3, a two-worker pool.
+TEST(ShardedEquivalence, WideWindowWidthInvariance) {
   ExperimentConfig config;
   config.num_nodes = 400;
   config.num_files = 80;
@@ -330,44 +231,38 @@ TEST(ShardedEquivalence, DualChaseWidthInvariance) {
   config.popularity.kind = PopularityKind::Zipf;
   config.popularity.gamma = 1.2;
   config.strategy_spec = parse_strategy_spec("least-loaded(r=8)");
-  config.shard_batch = 64;  // small batches: many windows to claim
+  config.shard_batch = 64;
   config.seed = 0xD0A1;
   const SimulationContext context(config);
-  ShardStats reference;
-  const RunResult reference_result =
-      ShardedRunner(context, {1, 64, true, 8}).run(0, &reference);
-  EXPECT_GT(reference.spec_windows, 1u)
-      << "need multiple windows so both chasers can claim work";
+  const RunResult reference = ShardedRunner(context, {1, 64}).run(0);
   for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
-    const std::string label = "dual-chase threads=" + std::to_string(threads);
-    ShardStats stats;
-    const RunResult result =
-        ShardedRunner(context, {threads, 64, true, 8}).run(0, &stats);
-    expect_bit_identical(reference_result, result, label);
-    // Claim outcomes are schedule-determined even with two racing
-    // chasers: the counters must not drift with the worker count.
-    EXPECT_EQ(stats.spec_windows, reference.spec_windows) << label;
-    EXPECT_EQ(stats.spec_hits, reference.spec_hits) << label;
-    EXPECT_EQ(stats.spec_conflicts, reference.spec_conflicts) << label;
+    expect_bit_identical(
+        reference, ShardedRunner(context, {threads, 64}).run(0),
+        "least-loaded(r=8) threads=" + std::to_string(threads));
   }
 }
 
-// A registry extension that only implements `assign` (no split-phase
-// protocol) must still run correctly and deterministically: the engine
-// detects `split_phase() == false` and executes it on the commit thread
-// under the same per-request stream contract.
-TEST(ShardedEquivalence, NonSplitCustomStrategyRunsOnCommitPath) {
-  const std::string name = "test-sharded-nonsplit";
+// A registry extension runs on the sharded engine through the same
+// propose/choose protocol as the built-ins. This one decides in `propose`
+// (a `decided` proposal, like nearest), so its `choose` only replays the
+// decision; it must still be width-invariant.
+TEST(ShardedEquivalence, CustomStrategyDecidedInPropose) {
+  const std::string name = "test-sharded-first-replica";
   if (StrategyRegistry::global().find(name) == nullptr) {
     class FirstReplica final : public Strategy {
      public:
       explicit FirstReplica(const ReplicaIndex& index) : index_(&index) {}
-      Assignment assign(const Request& request, const LoadView&,
-                        Rng&) override {
-        Assignment a;
-        a.server = index_->placement().replicas(request.file)[0];
-        a.hops = index_->topology().distance(request.origin, a.server);
-        return a;
+      void propose(const Request& request, Rng&, CandidateArena&,
+                   Proposal& out) override {
+        out.server = index_->placement().replicas(request.file)[0];
+        out.hops = index_->topology().distance(request.origin, out.server);
+        out.decided = true;
+      }
+      [[nodiscard]] Assignment choose(const Request&,
+                                      const Proposal& proposal,
+                                      CandidateArena&, const LoadView&,
+                                      Rng&) const override {
+        return decided_assignment(proposal);
       }
       [[nodiscard]] std::string name() const override {
         return "first-replica";
@@ -395,7 +290,7 @@ TEST(ShardedEquivalence, NonSplitCustomStrategyRunsOnCommitPath) {
   const SimulationContext context(config);
   const RunResult probe = context.run(0);
   EXPECT_GT(probe.requests, 0u);
-  expect_thread_invariant(context, "non-split custom strategy", 2);
+  expect_thread_invariant(context, "custom strategy decided in propose", 2);
 }
 
 }  // namespace

@@ -167,15 +167,25 @@ TEST(StaleSimulation, ModerateStalenessDegradesGracefully) {
   }
 }
 
-// Speculation must validate against the view choose() actually reads, not
-// the live tracker. With a staleness period >= the trace length the
-// snapshot never refreshes before the final assignment: every candidate
-// load choose() compares is the frozen all-zero snapshot, so no speculation
-// can ever be invalidated — spec_conflicts must be exactly 0 even though
-// the live loads diverge throughout the run. An engine that validated
-// against the live tracker would report near-constant conflicts here and
-// silently serialize every stale experiment.
-TEST(StaleSimulation, SpeculationValidatesAgainstTheStaleView) {
+/// The sharded engine at width 4 must reproduce its width-1 schedule
+/// bit-for-bit: `choose` on the commit thread reads the stale snapshot
+/// exactly where the inline schedule does.
+void expect_width_one_equals_width_four(const SimulationContext& context,
+                                        std::size_t batch) {
+  const RunResult inline_schedule = ShardedRunner(context, {1, batch}).run(0);
+  const RunResult sharded = ShardedRunner(context, {4, batch}).run(0);
+  EXPECT_EQ(sharded.max_load, inline_schedule.max_load);
+  EXPECT_EQ(sharded.comm_cost, inline_schedule.comm_cost);
+  EXPECT_EQ(sharded.requests, inline_schedule.requests);
+  EXPECT_EQ(sharded.load_histogram.counts(),
+            inline_schedule.load_histogram.counts());
+}
+
+// The frozen corner: with a staleness period >= the trace length the
+// snapshot never refreshes before the final assignment, so every load
+// choose() compares is the all-zero snapshot while the live loads diverge
+// throughout the run.
+TEST(StaleSimulation, FrozenStaleViewIsWidthInvariant) {
   ExperimentConfig config;
   config.num_nodes = 225;
   config.num_files = 30;
@@ -186,29 +196,15 @@ TEST(StaleSimulation, SpeculationValidatesAgainstTheStaleView) {
       static_cast<double>(config.effective_requests());
   config.shard_batch = 64;
   const SimulationContext context(config);
-  ShardStats stats;
-  const RunResult speculative =
-      ShardedRunner(context, {4, 64, /*speculate=*/true, 32}).run(0, &stats);
-  EXPECT_GT(stats.spec_attempted, 0u);
-  EXPECT_EQ(stats.spec_conflicts, 0u)
-      << "a frozen snapshot can never invalidate a speculation";
-  EXPECT_EQ(stats.spec_hits, stats.spec_attempted);
-  // And the result still matches the serial-commit schedule bit-for-bit.
-  const RunResult serial =
-      ShardedRunner(context, {4, 64, /*speculate=*/false}).run(0);
-  EXPECT_EQ(speculative.max_load, serial.max_load);
-  EXPECT_EQ(speculative.comm_cost, serial.comm_cost);
-  EXPECT_EQ(speculative.requests, serial.requests);
-  EXPECT_EQ(speculative.load_histogram.counts(),
-            serial.load_histogram.counts());
+  expect_width_one_equals_width_four(context, 64);
 }
 
-// The refreshing corner: a short staleness period means snapshots *do*
-// change mid-run, exactly at refresh boundaries — speculations straddling
-// a refresh are the only ones that can conflict, and the commit must
-// re-choose them against the refreshed view. The run must stay
-// bit-identical across commit modes while actually exercising that path.
-TEST(StaleSimulation, RefreshingStaleViewStaysBitIdenticalAcrossCommitModes) {
+// The refreshing corner: a short staleness period means the snapshot *does*
+// change mid-run, exactly at refresh boundaries, and a batch of 53 (coprime
+// to the period) puts refreshes at every offset within a batch. The commit
+// thread drives the refreshes, so every width must see them at the same
+// requests.
+TEST(StaleSimulation, RefreshingStaleViewIsWidthInvariant) {
   ExperimentConfig config;
   config.num_nodes = 64;
   config.num_files = 20;
@@ -219,20 +215,7 @@ TEST(StaleSimulation, RefreshingStaleViewStaysBitIdenticalAcrossCommitModes) {
   config.strategy_spec = parse_strategy_spec("two-choice(stale=7)");
   config.shard_batch = 53;  // coprime to the period: refreshes straddle
   const SimulationContext context(config);
-  ShardStats stats;
-  const RunResult speculative =
-      ShardedRunner(context, {4, 53, /*speculate=*/true, 16}).run(0, &stats);
-  EXPECT_GT(stats.spec_attempted, 0u);
-  EXPECT_GT(stats.spec_conflicts, 0u)
-      << "period 7 refreshes inside nearly every window; some speculation "
-         "must be invalidated or the corner is untested";
-  const RunResult serial =
-      ShardedRunner(context, {4, 53, /*speculate=*/false}).run(0);
-  EXPECT_EQ(speculative.max_load, serial.max_load);
-  EXPECT_EQ(speculative.comm_cost, serial.comm_cost);
-  EXPECT_EQ(speculative.requests, serial.requests);
-  EXPECT_EQ(speculative.load_histogram.counts(),
-            serial.load_histogram.counts());
+  expect_width_one_equals_width_four(context, 53);
 }
 
 TEST(OnePlusBeta, BetaOneIsTheDefaultProcess) {

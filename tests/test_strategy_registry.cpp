@@ -202,12 +202,16 @@ TEST(StrategyRegistry, CustomEntryIsConstructible) {
   class FirstReplica final : public Strategy {
    public:
     explicit FirstReplica(const ReplicaIndex& index) : index_(&index) {}
-    Assignment assign(const Request& request, const LoadView&,
-                      Rng&) override {
-      Assignment a;
-      a.server = index_->placement().replicas(request.file)[0];
-      a.hops = index_->topology().distance(request.origin, a.server);
-      return a;
+    void propose(const Request& request, Rng&, CandidateArena&,
+                 Proposal& out) override {
+      out.server = index_->placement().replicas(request.file)[0];
+      out.hops = index_->topology().distance(request.origin, out.server);
+      out.decided = true;
+    }
+    [[nodiscard]] Assignment choose(const Request&, const Proposal& proposal,
+                                    CandidateArena&, const LoadView&,
+                                    Rng&) const override {
+      return decided_assignment(proposal);
     }
     [[nodiscard]] std::string name() const override { return "first"; }
 
@@ -251,12 +255,17 @@ TEST(StrategyRegistry, GlobalRegistryDrivesTheSimulatorEndToEnd) {
     class Anywhere final : public Strategy {
      public:
       explicit Anywhere(const ReplicaIndex& index) : index_(&index) {}
-      Assignment assign(const Request& request, const LoadView&,
-                        Rng&) override {
-        Assignment a;
-        a.server = index_->placement().replicas(request.file)[0];
-        a.hops = index_->topology().distance(request.origin, a.server);
-        return a;
+      void propose(const Request& request, Rng&, CandidateArena&,
+                   Proposal& out) override {
+        out.server = index_->placement().replicas(request.file)[0];
+        out.hops = index_->topology().distance(request.origin, out.server);
+        out.decided = true;
+      }
+      [[nodiscard]] Assignment choose(const Request&,
+                                      const Proposal& proposal,
+                                      CandidateArena&, const LoadView&,
+                                      Rng&) const override {
+        return decided_assignment(proposal);
       }
       [[nodiscard]] std::string name() const override { return "anywhere"; }
 
