@@ -19,12 +19,12 @@ int main(int argc, char** argv) {
 
   ArgParser args("cdn_simulation",
                  "radius planning for a Zipf CDN on a torus of edge caches");
-  args.add_int("n", 2025, "number of edge caches (perfect square)");
-  args.add_int("files", 1000, "catalog size K");
-  args.add_int("cache", 20, "cache slots per server M");
+  args.add_int("n", 2025, "number of edge caches (perfect square)", 1);
+  args.add_int("files", 1000, "catalog size K", 1);
+  args.add_int("cache", 20, "cache slots per server M", 1);
   args.add_double("gamma", 0.8, "Zipf popularity exponent");
   args.add_int("target-load", 5, "maximum tolerable per-server load");
-  args.add_int("runs", 40, "Monte-Carlo replications per radius");
+  args.add_int("runs", 40, "Monte-Carlo replications per radius", 1);
   args.add_int("seed", 7, "root seed");
   try {
     args.parse(argc, argv);

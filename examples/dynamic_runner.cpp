@@ -17,7 +17,9 @@
 //
 // Every run is deterministic in (configuration, --seed): rerunning the
 // same command reproduces every figure bit-for-bit.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,9 +40,9 @@ int main(int argc, char** argv) {
   ArgParser args("dynamic_runner",
                  "discrete-event dynamic engine: timed arrivals, evolving "
                  "caches, windowed metrics");
-  args.add_int("n", 400, "number of servers (perfect square)");
-  args.add_int("files", 100, "library size K");
-  args.add_int("cache", 10, "cache slots per server M");
+  args.add_int("n", 400, "number of servers (perfect square)", 1);
+  args.add_int("files", 100, "library size K", 1);
+  args.add_int("cache", 10, "cache slots per server M", 1);
   args.add_int("seed", 7, "root seed");
   args.add_string("scenario", "",
                   "workload preset (popularity, origins, trace process); "
@@ -69,7 +71,8 @@ int main(int argc, char** argv) {
   args.add_flag("cache-on-path",
                 "also insert missed files at the request's origin when the "
                 "response arrives");
-  args.add_int("windows", 8, "time windows for the metric series");
+  args.add_int("windows", 8, "time windows for the metric series", 1,
+               std::numeric_limits<std::uint32_t>::max());
   args.add_flag("list",
                 "print the registered scenarios, strategies, topologies, "
                 "cache policies and tier presets, then exit");

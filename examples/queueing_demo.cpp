@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
 
   ArgParser args("queueing_demo",
                  "supermarket model on the cache network (paper §VI)");
-  args.add_int("n", 400, "number of servers (perfect square)");
-  args.add_int("files", 100, "library size K");
-  args.add_int("cache", 10, "cache slots per server M");
+  args.add_int("n", 400, "number of servers (perfect square)", 1);
+  args.add_int("files", 100, "library size K", 1);
+  args.add_int("cache", 10, "cache slots per server M", 1);
   args.add_double("lambda", 0.9, "arrival rate per server (stability: < 1)");
   args.add_string_list("strategy", {"two-choice(r=8)", "nearest"},
                        "dispatch policy spec string, repeatable");

@@ -70,10 +70,12 @@ int main(int argc, char** argv) {
   args.add_int("seed", 0x5EED, "root seed");
   args.add_int("n", 0,
                "override server count for 'default' topologies (perfect "
-               "square; 0 = preset)");
-  args.add_int("files", 0, "override catalog size K (0 = preset)");
-  args.add_int("cache", 0, "override cache slots M (0 = preset)");
-  args.add_int("requests", 0, "override requests per run (0 = n requests)");
+               "square; 0 = preset)",
+               0);
+  args.add_int("files", 0, "override catalog size K (0 = preset)", 0);
+  args.add_int("cache", 0, "override cache slots M (0 = preset)", 0);
+  args.add_int("requests", 0, "override requests per run (0 = n requests)",
+               0);
   args.add_int("threads", 0,
                "replication-pool workers, one run per task (0 = hardware "
                "concurrency)",
@@ -87,7 +89,8 @@ int main(int argc, char** argv) {
   args.add_int("max-rss-mb", 0,
                "fail (exit 1) when process peak RSS exceeds this many MiB "
                "after the matrix finishes (0 = no ceiling); the CI "
-               "large-topology smoke job uses it as a memory-model gate");
+               "large-topology smoke job uses it as a memory-model gate",
+               0);
   try {
     args.parse(argc, argv);
   } catch (const CliError& error) {

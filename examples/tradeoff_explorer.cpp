@@ -7,6 +7,8 @@
 // interesting read is the (comm_cost, max_load) parametric curve: with
 // enough replication it is L-shaped — a tiny cost buys the full power of
 // two choices (paper Theorem 4 / Figure 5).
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <vector>
 
@@ -19,13 +21,15 @@ int main(int argc, char** argv) {
 
   ArgParser args("tradeoff_explorer",
                  "sweep the proximity radius and emit the load/cost curve");
-  args.add_int("n", 2025, "number of servers (perfect square)");
-  args.add_int("files", 500, "library size K");
-  args.add_int("cache", 20, "cache slots per server M");
+  args.add_int("n", 2025, "number of servers (perfect square)", 1);
+  args.add_int("files", 500, "library size K", 1);
+  args.add_int("cache", 20, "cache slots per server M", 1);
   args.add_string("popularity", "uniform", "'uniform' or 'zipf'");
   args.add_double("gamma", 0.8, "Zipf exponent (ignored for uniform)");
-  args.add_int("runs", 100, "replications per radius");
-  args.add_int("max-radius", 0, "largest radius (0 = half the side)");
+  args.add_int("runs", 100, "replications per radius", 1);
+  args.add_int("max-radius", 0,
+               "largest radius (0 = half the side; capped at the diameter)",
+               0);
   args.add_int("seed", 11, "root seed");
   args.add_flag("table", "print an aligned table instead of CSV");
   try {
@@ -52,10 +56,13 @@ int main(int argc, char** argv) {
 
   const Lattice lattice =
       Lattice::from_node_count(config.num_nodes, config.wrap);
-  Hop max_radius = static_cast<Hop>(args.get_int("max-radius"));
-  if (max_radius == 0) {
-    max_radius = static_cast<Hop>(lattice.side() / 2);
+  std::int64_t requested = args.get_int("max-radius");
+  if (requested == 0) {
+    requested = lattice.side() / 2;
   }
+  // A radius past the diameter admits the same candidates as the diameter.
+  const auto max_radius = static_cast<Hop>(
+      std::min<std::int64_t>(requested, lattice.diameter()));
 
   std::vector<Hop> radii;
   for (Hop r = 1; r <= max_radius;
