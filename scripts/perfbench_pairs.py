@@ -15,6 +15,12 @@ range:
 Each checkout builds its own benchmark into its own .bench_build/ on the
 first run. Nothing under perfbench/ is changed.
 
+With --record, and only when every run was correct, the change side is
+written into that workload's entry of BENCH_throughput.json at the root of
+the change checkout (other entries are kept): every end-to-end metric's
+quartiles, the pair count, seed, seconds, and the commit and host from the
+`host:` line run.py prints before its result.
+
 Exit status: 0 when every run was correct, 1 when any run reported
 `correct: false` or `failed > 0` (or printed no result), 2 bad invocation.
 """
@@ -29,6 +35,8 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 1800
+RECORD_FILE = "BENCH_throughput.json"
+HOST_FIELDS = ("nproc", "cpu_model", "compiler", "build_type")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -54,15 +62,19 @@ def summarize(parent: list[float], change: list[float],
 
 
 def result_line(stdout: str) -> dict | None:
-    """The JSON result run.py prints as its last line, or None."""
+    """The JSON result run.py prints as its last line, or None. The host
+    record it prints before that (`host: {...}`) is kept under "host"."""
     lines = stdout.strip().splitlines()
-    if not lines:
-        return None
     try:
-        line = json.loads(lines[-1])
+        line = json.loads(lines[-1]) if lines else None
+        if not isinstance(line, dict) or "metrics" not in line:
+            return None
+        hosts = [text for text in lines[:-1] if text.startswith("host: ")]
+        if hosts:
+            line["host"] = json.loads(hosts[-1][len("host: "):])
     except json.JSONDecodeError:
         return None
-    return line if isinstance(line, dict) and "metrics" in line else None
+    return line
 
 
 def run_problems(line: dict | None) -> list[str]:
@@ -113,6 +125,29 @@ def report(metrics: list[dict], parent_lines: list[dict],
     return rows
 
 
+def record(path: Path, workload: str, metrics: list[dict],
+           change_lines: list[dict], args: argparse.Namespace) -> None:
+    """Write the change side's quartiles into `workload`'s entry of the
+    record at `path`, keeping every other entry."""
+    host = change_lines[0].get("host", {})
+    recorded = {}
+    for metric in metrics:
+        name = metric["name"]
+        values = [line["metrics"][name] for line in change_lines
+                  if name in line["metrics"]]
+        if values:
+            q1, median, q3 = quartiles([v["value"] for v in values])
+            recorded[name] = {"unit": values[0]["unit"], "q1": q1,
+                              "median": median, "q3": q3}
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.setdefault("workloads", {})[workload] = {
+        "commit": host.get("git_commit", "unknown"),
+        "host": {field: host.get(field) for field in HOST_FIELDS},
+        "seed": args.seed, "seconds": args.seconds,
+        "pairs": len(change_lines), "metrics": recorded}
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -121,6 +156,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=24301)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--record", action="store_true",
+                        help=f"write the change side into {RECORD_FILE}")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -146,12 +183,16 @@ def main() -> int:
                 complete[side].append(line)
     print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s, "
           f"{len(complete['change'])} pairs")
-    for row in report(end_to_end_metrics(args.change), complete["parent"],
-                      complete["change"]):
+    metrics = end_to_end_metrics(args.change)
+    for row in report(metrics, complete["parent"], complete["change"]):
         print(row)
     if bad_runs:
         print("incorrect runs: " + ", ".join(bad_runs))
         return 1
+    if args.record:
+        path = args.change / RECORD_FILE
+        record(path, args.workload, metrics, complete["change"], args)
+        print(f"recorded {args.workload} in {path}")
     return 0
 
 

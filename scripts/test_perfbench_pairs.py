@@ -4,9 +4,9 @@
 Checks its statistics on canned result lines (quartiles, wins and the
 gain-beyond-spread test in both metric directions), its reading of
 run.py's output, and — through stub checkouts whose perfbench/run.py
-prints canned lines — the alternating run order, the printed table and
-the exit status on incorrect runs. Only the Python standard library is
-used.
+prints canned lines — the alternating run order, the printed table, the
+exit status on incorrect runs and the --record mode. Only the Python
+standard library is used.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import unittest
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent / "perfbench_pairs.py"
+REPO = SCRIPT.parent.parent
 _spec = importlib.util.spec_from_file_location("perfbench_pairs", SCRIPT)
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
@@ -78,6 +79,13 @@ class ResultLineTest(unittest.TestCase):
                   + json.dumps(line(5.0)) + "\n")
         self.assertEqual(pairs.result_line(stdout), line(5.0))
 
+    def test_host_line_is_kept(self) -> None:
+        host = {"nproc": 4, "git_commit": "abc"}
+        stdout = ("host: " + json.dumps(host) + "\n"
+                  + json.dumps(line(5.0)) + "\n")
+        self.assertEqual(pairs.result_line(stdout),
+                         dict(line(5.0), host=host))
+
     def test_missing_or_malformed_result(self) -> None:
         self.assertIsNone(pairs.result_line(""))
         self.assertIsNone(pairs.result_line("build failed\n"))
@@ -103,6 +111,10 @@ STUB_RUN_PY = textwrap.dedent("""\
         log.write(here.name + "\\n")
     lines = json.loads((here / "lines.json").read_text())
     print("unit medians: ...")
+    print("host: " + json.dumps({
+        "nproc": 4, "cpu_model": "Stub CPU", "compiler": "GNU 12.2.0",
+        "build_type": "Release", "release_build": True,
+        "git_commit": here.name + "-commit"}))
     print(json.dumps(lines[call]))
     """)
 
@@ -126,12 +138,13 @@ class RunnerTest(unittest.TestCase):
         (path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
         return path
 
-    def run_pairs(self, parent: Path, change: Path, count: int):
+    def run_pairs(self, parent: Path, change: Path, count: int,
+                  *extra: str, workload: str = "paper-sweep"):
         env = dict(os.environ, PAIRS_ORDER_LOG=str(self.order_log))
         return subprocess.run(
             [sys.executable, str(SCRIPT), "--parent", str(parent),
-             "--change", str(change), "--workload", "paper-sweep",
-             "--pairs", str(count), "--seconds", "1"],
+             "--change", str(change), "--workload", workload,
+             "--pairs", str(count), "--seconds", "1", *extra],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env, timeout=120)
 
@@ -172,6 +185,62 @@ class RunnerTest(unittest.TestCase):
         change = self.checkout("change", [line(150)])
         proc = self.run_pairs(self.root / "absent", change, 1)
         self.assertEqual(proc.returncode, 2, proc.stdout)
+
+    def test_record_holds_the_change_side(self) -> None:
+        parent = self.checkout("parent", [line(v, 400) for v in
+                                          (10, 20, 30, 40, 50)])
+        change = self.checkout("change", [line(v, 180 + v) for v in
+                                          (150, 110, 130, 140, 120)])
+        proc = self.run_pairs(parent, change, 5, "--record")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        text = (change / "BENCH_throughput.json").read_text()
+        self.assertEqual(json.loads(text), {"workloads": {"paper-sweep": {
+            "commit": "change-commit",
+            "host": {"nproc": 4, "cpu_model": "Stub CPU",
+                     "compiler": "GNU 12.2.0", "build_type": "Release"},
+            "seed": 24301, "seconds": 1.0, "pairs": 5,
+            "metrics": {
+                "req_per_s": {"unit": "req/s", "q1": 120, "median": 130,
+                              "q3": 140},
+                "peak_rss_mb": {"unit": "MiB", "q1": 300, "median": 310,
+                                "q3": 320}}}}})
+        self.assertNotIn("parent", text)
+        self.assertFalse((parent / "BENCH_throughput.json").exists())
+
+    def test_second_workload_keeps_the_first(self) -> None:
+        parent = self.checkout("parent", [line(100)] * 4)
+        change = self.checkout("change", [line(v) for v in
+                                          (150, 160, 170, 180)])
+        self.assertEqual(self.run_pairs(parent, change, 2,
+                                        "--record").returncode, 0)
+        path = change / "BENCH_throughput.json"
+        first = json.loads(path.read_text())["workloads"]["paper-sweep"]
+        proc = self.run_pairs(parent, change, 2, "--record",
+                              workload="dynamic")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        workloads = json.loads(path.read_text())["workloads"]
+        self.assertEqual(sorted(workloads), ["dynamic", "paper-sweep"])
+        self.assertEqual(workloads["paper-sweep"], first)
+        self.assertEqual(workloads["dynamic"]["metrics"]["req_per_s"]
+                         ["median"], 175)
+
+    def test_incorrect_run_leaves_the_record_untouched(self) -> None:
+        parent = self.checkout("parent", [line(100), line(100)])
+        change = self.checkout("change", [line(150),
+                                          line(150, correct=False)])
+        path = change / "BENCH_throughput.json"
+        path.write_text('{"workloads": {"paper-sweep": {"pairs": 9}}}')
+        before = path.read_bytes()
+        proc = self.run_pairs(parent, change, 2, "--record")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual(path.read_bytes(), before)
+
+    def test_no_record_without_the_flag(self) -> None:
+        parent = self.checkout("parent", [line(100)])
+        change = self.checkout("change", [line(150)])
+        proc = self.run_pairs(parent, change, 1)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertFalse((change / "BENCH_throughput.json").exists())
 
 
 if __name__ == "__main__":

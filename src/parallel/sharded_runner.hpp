@@ -68,8 +68,9 @@ struct ShardedRunOptions {
   std::size_t batch = 4096;  ///< requests per pipeline batch
 };
 
-/// Per-run engine counters and per-stage wall times (reported by
-/// bench/micro_throughput.cpp — the measured, not asserted, Amdahl story).
+/// Per-run engine counters and per-stage wall times (reported by perfbench's
+/// traced `torus-sharded` run as `parallel.*` — the measured, not asserted,
+/// Amdahl story).
 struct ShardStats {
   std::uint64_t batches = 0;    ///< pipeline batches filled
   std::uint64_t requests = 0;   ///< admitted requests committed

@@ -1,8 +1,9 @@
 #pragma once
 /// \file memory.hpp
-/// Process memory introspection for benches: peak resident set size, used
-/// by `micro_throughput` to demonstrate that the streaming request loop
-/// runs in O(num_nodes) space regardless of trace length.
+/// Process memory introspection: peak resident set size, reported by
+/// perfbench's `peak_rss_mb` (where `torus-stream` shows that the streaming
+/// request loop runs in O(num_nodes) space regardless of trace length) and
+/// checked by `scenario_runner --max-rss-mb`.
 
 #include <cstdint>
 

@@ -286,14 +286,13 @@ TEST(TieredEngine, ExperimentAggregatesPerTierSummaries) {
   EXPECT_EQ(flat_result.origin_offload.count(), 0u);
 }
 
-// The hierarchy deliverable at the `tiered` bench block's settings: on the
-// cdn preset under both disc-anchored scenarios, cross-two-choice must not
-// lose to the load-oblivious baselines on the back-end p99 tail or the
-// origin hit count. The figures are read the way `micro_throughput
-// --tiered` reads them (the origin tier's `served`, the last cache tier's
-// `tail_p99`) and are seeded, so equality is the boundary. At this seed
-// hotspot gives back tail 41.0 against 52.0 (nearest) and 79.2
-// (front-first), and origin hits 143.6 against 2424.0 and 2945.2.
+// The hierarchy deliverable: on the cdn preset under both disc-anchored
+// scenarios, cross-two-choice must not lose to the load-oblivious baselines
+// on the back-end p99 tail or the origin hit count. The figures are the
+// origin tier's `served` and the last cache tier's `tail_p99`; they are
+// seeded, so equality is the boundary. At this seed hotspot gives back tail
+// 41.0 against 52.0 (nearest) and 79.2 (front-first), and origin hits 143.6
+// against 2424.0 and 2945.2.
 TEST(TieredEngine, CrossTwoChoiceBeatsFlatBaselinesOnTheCdnPreset) {
   struct Figures {
     double back_tail = 0.0;
