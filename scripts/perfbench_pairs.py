@@ -129,20 +129,17 @@ def record(path: Path, workload: str, metrics: list[dict],
            change_lines: list[dict], args: argparse.Namespace) -> None:
     """Write the change side's quartiles into `workload`'s entry of the
     record at `path`, keeping every other entry."""
-    host = change_lines[0].get("host", {})
+    host = change_lines[0]["host"]
     recorded = {}
     for metric in metrics:
-        name = metric["name"]
-        values = [line["metrics"][name] for line in change_lines
-                  if name in line["metrics"]]
-        if values:
-            q1, median, q3 = quartiles([v["value"] for v in values])
-            recorded[name] = {"unit": values[0]["unit"], "q1": q1,
-                              "median": median, "q3": q3}
+        values = [line["metrics"][metric["name"]] for line in change_lines]
+        q1, median, q3 = quartiles([v["value"] for v in values])
+        recorded[metric["name"]] = {"unit": values[0]["unit"], "q1": q1,
+                                    "median": median, "q3": q3}
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("workloads", {})[workload] = {
-        "commit": host.get("git_commit", "unknown"),
-        "host": {field: host.get(field) for field in HOST_FIELDS},
+        "commit": host["git_commit"],
+        "host": {field: host[field] for field in HOST_FIELDS},
         "seed": args.seed, "seconds": args.seconds,
         "pairs": len(change_lines), "metrics": recorded}
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -5,8 +5,10 @@ Checks its statistics on canned result lines (quartiles, wins and the
 gain-beyond-spread test in both metric directions), its reading of
 run.py's output, and — through stub checkouts whose perfbench/run.py
 prints canned lines — the alternating run order, the printed table, the
-exit status on incorrect runs and the --record mode. Only the Python
-standard library is used.
+exit status on incorrect runs and the --record mode. A last case checks
+that the repository's own BENCH_throughput.json records every workload and
+end-to-end metric of its BENCHMARK.json. Only the Python standard library
+is used.
 """
 
 from __future__ import annotations
@@ -241,6 +243,29 @@ class RunnerTest(unittest.TestCase):
         proc = self.run_pairs(parent, change, 1)
         self.assertEqual(proc.returncode, 0, proc.stdout)
         self.assertFalse((change / "BENCH_throughput.json").exists())
+
+
+class CommittedRecordTest(unittest.TestCase):
+    """The committed BENCH_throughput.json holds a --record entry for every
+    workload of the committed BENCHMARK.json."""
+
+    def test_record_covers_the_benchmark(self) -> None:
+        spec = json.loads((REPO / "BENCHMARK.json").read_text())
+        workloads = json.loads(
+            (REPO / "BENCH_throughput.json").read_text())["workloads"]
+        for workload in spec["workloads"]:
+            with self.subTest(workload=workload["name"]):
+                entry = workloads[workload["name"]]
+                self.assertEqual(entry["host"]["build_type"], "Release")
+                self.assertFalse(entry["commit"].startswith("unknown"))
+                self.assertEqual(entry["seed"], 24301)
+                self.assertEqual(entry["seconds"], spec["run_seconds"])
+                self.assertGreaterEqual(entry["pairs"], 5)
+                for metric in spec["end_to_end"]:
+                    recorded = entry["metrics"][metric["name"]]
+                    self.assertEqual(recorded["unit"], metric["unit"])
+                    self.assertLessEqual(recorded["q1"], recorded["median"])
+                    self.assertLessEqual(recorded["median"], recorded["q3"])
 
 
 if __name__ == "__main__":
