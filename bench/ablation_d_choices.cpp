@@ -26,7 +26,7 @@ int run(const bench::BenchOptions& options) {
   std::vector<double> costs;
   for (const std::uint32_t d : choices) {
     ExperimentConfig config;
-    config.num_nodes = 2025;
+    config.topology_spec = parse_topology_spec("torus(side=45)");
     config.num_files = 500;
     config.cache_size = 20;
     config.strategy_spec = StrategySpec{

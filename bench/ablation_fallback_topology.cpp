@@ -34,7 +34,7 @@ int run(const bench::BenchOptions& options) {
   double drop_rate = 0.0;
   for (const Policy& policy : policies) {
     ExperimentConfig config;
-    config.num_nodes = 1024;
+    config.topology_spec = parse_topology_spec("torus(side=32)");
     config.num_files = 200;
     config.cache_size = 2;
     // r=2 starves the candidate set (F_j(u) often < 2) to exercise the
@@ -73,10 +73,9 @@ int run(const bench::BenchOptions& options) {
   int i = 0;
   for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
     ExperimentConfig config;
-    config.num_nodes = 2025;
+    config.topology_spec = topology_spec_from_lattice(2025, wrap);
     config.num_files = 500;
     config.cache_size = 20;
-    config.wrap = wrap;
     config.strategy_spec = parse_strategy_spec("two-choice(r=10)");
     config.seed = options.seed;
     const ExperimentResult result =

@@ -25,7 +25,7 @@ int run(const bench::BenchOptions& options) {
   bool cost_ok = true;
   for (const std::size_t m : cache_sizes) {
     ExperimentConfig config;
-    config.num_nodes = 1024;
+    config.topology_spec = parse_topology_spec("torus(side=32)");
     config.num_files = 100;
     config.cache_size = m;
     config.strategy_spec = parse_strategy_spec("two-choice(r=8)");

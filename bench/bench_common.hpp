@@ -15,6 +15,7 @@
 #include <string>
 
 #include "parallel/thread_pool.hpp"
+#include "topology/registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"

@@ -34,7 +34,7 @@ int run(const bench::BenchOptions& options) {
 
   {
     ExperimentConfig config;  // Example 1: M = K, r = ∞
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
     config.num_files = 16;
     config.cache_size = 16;
     config.placement_mode = PlacementMode::DistinctProportional;
@@ -44,7 +44,7 @@ int run(const bench::BenchOptions& options) {
   }
   {
     ExperimentConfig config;  // Example 2: K = n, M = 1, r = ∞
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
     config.num_files = n;
     config.cache_size = 1;
     config.strategy_spec = parse_strategy_spec("two-choice");
@@ -54,7 +54,7 @@ int run(const bench::BenchOptions& options) {
   }
   {
     ExperimentConfig config;  // Example 3: K = n^{1/2}, M = 1, r = ∞
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
     config.num_files = 64;  // sqrt(4096)
     config.cache_size = 1;
     config.strategy_spec = parse_strategy_spec("two-choice");
@@ -64,7 +64,7 @@ int run(const bench::BenchOptions& options) {
   }
   {
     ExperimentConfig config;  // Example 4: M = K, r = 1
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
     config.num_files = 16;
     config.cache_size = 16;
     config.placement_mode = PlacementMode::DistinctProportional;
@@ -120,7 +120,7 @@ int run(const bench::BenchOptions& options) {
     double l_one = 0.0;
     for (const bool proximal : {false, true}) {
       ExperimentConfig config;
-      config.num_nodes = big_n;
+      config.topology_spec = topology_spec_from_lattice(big_n, Wrap::Torus);
       config.num_files = 16;
       config.cache_size = 16;
       config.placement_mode = PlacementMode::DistinctProportional;

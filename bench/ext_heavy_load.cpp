@@ -27,7 +27,7 @@ int run(const bench::BenchOptions& options) {
   std::vector<double> two_excess;
   for (const std::size_t beta : load_factors) {
     ExperimentConfig config;
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
     config.num_files = 500;
     config.cache_size = 20;
     config.num_requests = beta * n;

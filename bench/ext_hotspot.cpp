@@ -27,7 +27,7 @@ int run(const bench::BenchOptions& options) {
   for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
     for (const Hop r : dispatch_radii) {
       ExperimentConfig config;
-      config.num_nodes = 2025;
+      config.topology_spec = parse_topology_spec("torus(side=45)");
       config.num_files = 500;
       config.cache_size = 20;
       config.seed = options.seed;

@@ -21,7 +21,7 @@ int run(const bench::BenchOptions& options) {
   bool jsq_wins_queue = true;
   for (const double lambda : loads) {
     QueueingConfig config;
-    config.network.num_nodes = 400;
+    config.network.topology_spec = parse_topology_spec("torus(side=20)");
     config.network.num_files = 100;
     config.network.cache_size = 10;
     config.network.seed = options.seed;

@@ -24,7 +24,7 @@ int run(const bench::BenchOptions& options) {
   std::vector<double> loads;
   for (const std::uint32_t period : periods) {
     ExperimentConfig config;
-    config.num_nodes = 2025;
+    config.topology_spec = parse_topology_spec("torus(side=45)");
     config.num_files = 500;
     config.cache_size = 20;
     config.seed = options.seed;

@@ -34,7 +34,7 @@ int run(const bench::BenchOptions& options) {
   for (std::size_t ki = 0; ki < library_sizes.size(); ++ki) {
     for (const std::size_t m : cache_sizes) {
       ExperimentConfig config;
-      config.num_nodes = 2025;
+      config.topology_spec = parse_topology_spec("torus(side=45)");
       config.num_files = library_sizes[ki];
       config.cache_size = m;
       config.strategy_spec = parse_strategy_spec("nearest");

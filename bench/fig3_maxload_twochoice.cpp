@@ -31,7 +31,7 @@ int run(const bench::BenchOptions& options) {
     std::vector<Cell> row = {Cell(static_cast<std::int64_t>(n))};
     for (std::size_t mi = 0; mi < cache_sizes.size(); ++mi) {
       ExperimentConfig config;
-      config.num_nodes = n;
+      config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
       config.num_files = 2000;
       config.cache_size = cache_sizes[mi];
       config.strategy_spec = parse_strategy_spec("two-choice");  // r = ∞ default

@@ -32,7 +32,7 @@ int run(const bench::BenchOptions& options) {
   for (std::size_t mi = 0; mi < cache_sizes.size(); ++mi) {
     for (const Hop r : radii) {
       ExperimentConfig config;
-      config.num_nodes = 2025;
+      config.topology_spec = parse_topology_spec("torus(side=45)");
       config.num_files = 500;
       config.cache_size = cache_sizes[mi];
       config.strategy_spec =

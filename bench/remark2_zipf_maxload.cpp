@@ -30,7 +30,7 @@ int run(const bench::BenchOptions& options) {
     std::vector<Cell> row = {Cell(static_cast<std::int64_t>(n))};
     for (std::size_t gi = 0; gi < gammas.size(); ++gi) {
       ExperimentConfig config;
-      config.num_nodes = n;
+      config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
       config.num_files = 100;
       config.cache_size = 4;
       config.strategy_spec = parse_strategy_spec("nearest");

@@ -34,7 +34,7 @@ int run(const bench::BenchOptions& options) {
       const auto k = static_cast<std::size_t>(
           std::round(std::pow(static_cast<double>(n), 1.0 - epsilons[ei])));
       ExperimentConfig config;
-      config.num_nodes = n;
+      config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
       config.num_files = std::max<std::size_t>(k, 2);
       config.cache_size = 1;  // M = Θ(1)
       config.strategy_spec = parse_strategy_spec("nearest");

@@ -35,7 +35,7 @@ int run(const bench::BenchOptions& options) {
           2, static_cast<std::size_t>(
                  std::round(std::pow(static_cast<double>(n), alphas[ai]))));
       ExperimentConfig config;
-      config.num_nodes = n;
+      config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
       config.num_files = n;  // K = n
       config.cache_size = m;
       config.strategy_spec = parse_strategy_spec("nearest");

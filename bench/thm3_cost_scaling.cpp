@@ -38,7 +38,7 @@ int run(const bench::BenchOptions& options) {
     const Lattice lattice = Lattice::from_node_count(2025, Wrap::Torus);
     for (const std::size_t k : library_sizes) {
       ExperimentConfig config;
-      config.num_nodes = 2025;
+      config.topology_spec = parse_topology_spec("torus(side=45)");
       config.num_files = k;
       config.cache_size = cache_size;
       config.strategy_spec = parse_strategy_spec("nearest");

@@ -37,7 +37,7 @@ SweepResult sweep(const std::vector<std::size_t>& node_counts, double alpha,
         1, static_cast<Hop>(
                std::round(std::pow(static_cast<double>(n), beta))));
     ExperimentConfig config;
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
     config.num_files = n;  // K = n
     config.cache_size = m;
     config.strategy_spec =

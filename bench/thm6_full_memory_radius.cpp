@@ -32,7 +32,7 @@ int run(const bench::BenchOptions& options) {
     std::vector<double> loads;
     for (const std::size_t n : node_counts) {
       ExperimentConfig config;
-      config.num_nodes = n;
+      config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
       config.num_files = library;
       config.cache_size = library;  // M = K
       config.placement_mode = PlacementMode::DistinctProportional;

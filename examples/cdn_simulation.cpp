@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "topology/registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -38,7 +39,8 @@ int main(int argc, char** argv) {
   }
 
   ExperimentConfig config;
-  config.num_nodes = static_cast<std::size_t>(args.get_int("n"));
+  config.topology_spec = topology_spec_from_lattice(
+      static_cast<std::size_t>(args.get_int("n")), Wrap::Torus);
   config.num_files = static_cast<std::size_t>(args.get_int("files"));
   config.cache_size = static_cast<std::size_t>(args.get_int("cache"));
   config.popularity.kind = PopularityKind::Zipf;

@@ -98,7 +98,6 @@ int main(int argc, char** argv) {
       config.network =
           ScenarioRegistry::built_ins().at(args.get_string("scenario")).config;
     }
-    config.network.num_nodes = static_cast<std::size_t>(args.get_int("n"));
     config.network.num_files = static_cast<std::size_t>(args.get_int("files"));
     config.network.cache_size =
         static_cast<std::size_t>(args.get_int("cache"));
@@ -108,6 +107,9 @@ int main(int argc, char** argv) {
     if (!args.get_string("topology").empty()) {
       config.network.topology_spec =
           parse_topology_spec(args.get_string("topology"));
+    } else if (args.get_string("tiers").empty()) {
+      config.network.topology_spec = topology_spec_from_lattice(
+          static_cast<std::size_t>(args.get_int("n")), Wrap::Torus);
     }
     if (!args.get_string("tiers").empty()) {
       config.network.tier_spec =

@@ -13,6 +13,7 @@
 
 #include "queueing/supermarket.hpp"
 #include "strategy/registry.hpp"
+#include "topology/registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
   }
 
   QueueingConfig config;
-  config.network.num_nodes = static_cast<std::size_t>(args.get_int("n"));
+  config.network.topology_spec = topology_spec_from_lattice(
+      static_cast<std::size_t>(args.get_int("n")), Wrap::Torus);
   config.network.num_files = static_cast<std::size_t>(args.get_int("files"));
   config.network.cache_size =
       static_cast<std::size_t>(args.get_int("cache"));
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
                    Cell(static_cast<std::int64_t>(result.completed))});
   }
 
-  std::cout << "supermarket model: n=" << config.network.num_nodes
+  std::cout << "supermarket model: n=" << config.network.resolved_nodes()
             << ", lambda=" << config.arrival_rate << ", mu=1, horizon="
             << config.horizon << "\n\n";
   table.print(std::cout);

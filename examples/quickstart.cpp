@@ -17,7 +17,7 @@ int main() {
   // popularity, 10 cache slots per server, n requests (one per server in
   // expectation).
   ExperimentConfig config;
-  config.num_nodes = 2025;
+  config.topology_spec = parse_topology_spec("torus(side=45)");
   config.num_files = 500;
   config.cache_size = 10;
   config.seed = 2017;

@@ -225,9 +225,6 @@ int main(int argc, char** argv) {
       config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
       config.topology_spec = topology;
       config.tier_spec = tier_spec;
-      if (topology.empty() && args.get_int("n") > 0) {
-        config.num_nodes = static_cast<std::size_t>(args.get_int("n"));
-      }
       if (args.get_int("files") > 0) {
         config.num_files = static_cast<std::size_t>(args.get_int("files"));
       }
@@ -248,6 +245,10 @@ int main(int argc, char** argv) {
       // rebinding constructor swaps only the strategy).
       std::optional<SimulationContext> base;
       try {
+        if (topology.empty() && tier_spec.empty() && args.get_int("n") > 0) {
+          config.topology_spec = topology_spec_from_lattice(
+              static_cast<std::size_t>(args.get_int("n")), Wrap::Torus);
+        }
         // A tiered config has no single registry topology, so the cache is
         // keyed by the tier-spec string instead (it also captures the
         // cache_size default the hierarchy inherits per tier).

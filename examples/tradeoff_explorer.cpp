@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "topology/registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -43,8 +44,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const auto n = static_cast<std::size_t>(args.get_int("n"));
   ExperimentConfig config;
-  config.num_nodes = static_cast<std::size_t>(args.get_int("n"));
+  config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
   config.num_files = static_cast<std::size_t>(args.get_int("files"));
   config.cache_size = static_cast<std::size_t>(args.get_int("cache"));
   config.popularity.kind = args.get_string("popularity") == "zipf"
@@ -54,8 +56,7 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const auto runs = static_cast<std::size_t>(args.get_int("runs"));
 
-  const Lattice lattice =
-      Lattice::from_node_count(config.num_nodes, config.wrap);
+  const Lattice lattice = Lattice::from_node_count(n, Wrap::Torus);
   std::int64_t requested = args.get_int("max-radius");
   if (requested == 0) {
     requested = lattice.side() / 2;

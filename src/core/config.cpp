@@ -17,6 +17,15 @@ bool is_lattice_spec(const TopologySpec& spec) {
   return spec.name == "torus" || spec.name == "grid";
 }
 
+/// The paper's network, 2025 servers on a torus: what a config that names
+/// no topology runs on.
+TopologySpec default_topology() {
+  TopologySpec spec;
+  spec.name = "torus";
+  spec.params["side"] = 45.0;
+  return spec;
+}
+
 }  // namespace
 
 TopologySpec ExperimentConfig::resolved_topology() const {
@@ -24,8 +33,7 @@ TopologySpec ExperimentConfig::resolved_topology() const {
                     "a tiered config has no single registry topology; "
                     "materialize it through tier/materialize.hpp");
   if (!tier_spec.empty()) return tier_spec.levels.front().topology;
-  return topology_spec.empty() ? topology_spec_from_lattice(num_nodes, wrap)
-                               : topology_spec;
+  return topology_spec.empty() ? default_topology() : topology_spec;
 }
 
 std::size_t ExperimentConfig::resolved_nodes() const {
@@ -37,8 +45,7 @@ std::size_t ExperimentConfig::resolved_nodes() const {
     }
     return total;
   }
-  if (topology_spec.empty()) return num_nodes;
-  return node_count(TopologyRegistry::global(), topology_spec);
+  return node_count(TopologyRegistry::global(), resolved_topology());
 }
 
 StrategySpec ExperimentConfig::resolved_strategy() const {
@@ -52,11 +59,6 @@ void ExperimentConfig::validate() const {
   PROXCACHE_REQUIRE(tier_spec.empty() || topology_spec.empty(),
                     "tier_spec and topology_spec are mutually exclusive; "
                     "a tier spec names its inner topologies itself");
-  if (topology_spec.empty() && tier_spec.empty()) {
-    PROXCACHE_REQUIRE(Lattice::is_perfect_square(num_nodes),
-                      "num_nodes must be a perfect square, got " +
-                          std::to_string(num_nodes));
-  }
   // Per-topology and per-strategy validation is the registries' job:
   // unknown names, unknown parameter keys and out-of-range values all throw
   // from here. The global catalogs are consulted so registered custom

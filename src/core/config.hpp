@@ -15,7 +15,6 @@
 #include "scenario/trace_spec.hpp"
 #include "strategy/spec.hpp"
 #include "tier/spec.hpp"
-#include "topology/lattice.hpp"
 #include "topology/spec.hpp"
 #include "util/types.hpp"
 
@@ -70,15 +69,10 @@ struct PopularitySpec {
 
 /// Full experiment description.
 struct ExperimentConfig {
-  /// Legacy lattice knobs: used only while `topology_spec` is empty, and
-  /// then mapped bit-identically onto a `torus(side=√n)` / `grid(side=√n)`
-  /// registry spec by `resolved_topology()`. When `topology_spec` is set
-  /// these two are ignored and the node count derives from the spec.
-  std::size_t num_nodes = 2025;  ///< n; must be a perfect square
-  Wrap wrap = Wrap::Torus;
   /// Which network topology the servers form, as a registry spec
   /// (topology/registry.hpp), e.g. `parse_topology_spec("ring(n=4096)")`.
-  /// When empty (the default) the legacy lattice knobs above apply.
+  /// When empty (the default) and no `tier_spec` is set, the paper's
+  /// `torus(side=45)` (n = 2025) applies.
   TopologySpec topology_spec;
   /// Optional cache hierarchy (tier/spec.hpp): compose registered
   /// topologies into front/mid/back/origin tiers, e.g.
@@ -131,8 +125,8 @@ struct ExperimentConfig {
   }
 
   /// The node count actually in effect: the composed tier total when
-  /// `tier_spec` is set, the topology registry's count for `topology_spec`
-  /// when set, otherwise `num_nodes`.
+  /// `tier_spec` is set, otherwise the topology registry's count for
+  /// `resolved_topology()`.
   [[nodiscard]] std::size_t resolved_nodes() const;
 
   [[nodiscard]] std::size_t effective_requests() const {
@@ -140,11 +134,11 @@ struct ExperimentConfig {
   }
 
   /// The topology actually in effect for the *flat* path: `topology_spec`
-  /// when set, a degenerate `tier_spec`'s inner topology, otherwise the
-  /// legacy lattice knobs mapped onto an equivalent registry spec. This is
-  /// what the simulator hands to TopologyRegistry::make. Throws when the
-  /// config is tiered — a composed hierarchy has no single registry spec;
-  /// tiered callers materialize through tier/materialize.hpp instead.
+  /// when set, a degenerate `tier_spec`'s inner topology, otherwise
+  /// `torus(side=45)`. This is what the simulator hands to
+  /// TopologyRegistry::make. Throws when the config is tiered — a composed
+  /// hierarchy has no single registry spec; tiered callers materialize
+  /// through tier/materialize.hpp instead.
   [[nodiscard]] TopologySpec resolved_topology() const;
 
   /// The strategy actually in effect: `strategy_spec` when set, otherwise
@@ -152,7 +146,8 @@ struct ExperimentConfig {
   /// hands to StrategyRegistry::make.
   [[nodiscard]] StrategySpec resolved_strategy() const;
 
-  /// Throws std::invalid_argument when inconsistent (n not square, M < 1…).
+  /// Throws std::invalid_argument when inconsistent (unknown topology,
+  /// M < 1…).
   void validate() const;
 
   /// One-line description for logs/tables.

@@ -78,7 +78,7 @@ RunHarness::RunHarness(const SimulationContext& context,
           spec, index, context.topology(), context.config())),
       strategy_rng(derive_seed(context.config().seed,
                                {run_index, seed_phase::kStrategy})),
-      tracker(context.config().num_nodes),
+      tracker(context.topology().size()),
       stale(make_stale(tracker, spec)),
       load_view(stale ? static_cast<const LoadView*>(stale.get())
                       : static_cast<const LoadView*>(&tracker)) {}

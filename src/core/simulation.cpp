@@ -35,13 +35,8 @@ double RunResult::origin_offload() const {
 SimulationContext::SimulationContext(const ExperimentConfig& config)
     : config_(validated(config)),
       topology_(materialize_topology(config_)),
-      popularity_(config_.popularity.materialize(config_.num_files)) {
-  // Synchronize the legacy node-count knob with the materialized topology
-  // so placement, trackers and `effective_requests` all agree on `n` even
-  // when the spec (not `num_nodes`) decided it.
-  config_.num_nodes = topology_->size();
-  horizon_ = config_.effective_requests();
-}
+      popularity_(config_.popularity.materialize(config_.num_files)),
+      horizon_(config_.effective_requests()) {}
 
 SimulationContext::SimulationContext(const SimulationContext& base,
                                      StrategySpec strategy)
@@ -62,7 +57,6 @@ SimulationContext::SimulationContext(const ExperimentConfig& config,
   PROXCACHE_REQUIRE(
       topology_->size() == config_.resolved_nodes(),
       "shared topology disagrees with the config's resolved node count");
-  config_.num_nodes = topology_->size();
   horizon_ = config_.effective_requests();
 }
 

@@ -67,8 +67,7 @@ struct RunResult {
 ///
 /// The topology is built once through the TopologyRegistry (which can be
 /// expensive — all-pairs BFS for graph topologies) and shared by reference
-/// with rebound contexts; `config().num_nodes` is synchronized to the
-/// materialized node count so every downstream consumer agrees on `n`.
+/// with rebound contexts; per-run state is sized by `topology().size()`.
 class SimulationContext {
  public:
   /// Validates `config` (throws std::invalid_argument when inconsistent)

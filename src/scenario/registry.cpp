@@ -6,7 +6,6 @@ namespace {
 
 ExperimentConfig workload_base() {
   ExperimentConfig config;
-  config.num_nodes = 2025;
   config.num_files = 500;
   config.cache_size = 10;
   return config;

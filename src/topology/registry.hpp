@@ -74,9 +74,10 @@ const TopologyRegistry& TopologyRegistry::built_ins();
 [[nodiscard]] std::size_t node_count(const TopologyRegistry& registry,
                                      const TopologySpec& spec);
 
-/// Map the legacy lattice knobs (`num_nodes` perfect square + `Wrap`) onto
-/// the equivalent registry spec — `torus(side=√n)` / `grid(side=√n)`. This
-/// is the shim that keeps pre-TopologySpec configs running bit-identically.
+/// The lattice spec of `num_nodes` servers — `torus(side=√n)` or
+/// `grid(side=√n)`, as `wrap` says. Throws std::invalid_argument when
+/// `num_nodes` is not a perfect square. For callers that size a lattice by
+/// its node count: benches sweeping n and the runners' `--n`.
 [[nodiscard]] TopologySpec topology_spec_from_lattice(std::size_t num_nodes,
                                                       Wrap wrap);
 

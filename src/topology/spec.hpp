@@ -27,8 +27,8 @@ struct TopologySpecKind {
   static constexpr std::span<const SpecKeyword> keywords{};
 };
 
-/// A named topology with keyword parameters. An empty spec makes configs
-/// fall back to the legacy `num_nodes` + `wrap` knobs.
+/// A named topology with keyword parameters. An empty spec makes a config
+/// run on its default network (`ExperimentConfig::resolved_topology`).
 using TopologySpec = KvSpec<TopologySpecKind>;
 
 /// Parse a topology spec string. Tolerates surrounding/internal whitespace

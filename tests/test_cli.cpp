@@ -200,14 +200,14 @@ TEST(Cli, StringListHelpMarksRepeatable) {
 
 TEST(CliConfigValidation, RejectsOutOfRangeBetaFromCli) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.strategy_spec = parse_strategy_spec("two-choice(beta=2)");
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 TEST(CliConfigValidation, RejectsHotspotRadiusCoveringTheLattice) {
   ExperimentConfig config;
-  config.num_nodes = 100;  // side 10
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.origins.kind = OriginKind::Hotspot;
   config.origins.hotspot_radius = 12;
   EXPECT_THROW(config.validate(), std::invalid_argument);
@@ -215,7 +215,7 @@ TEST(CliConfigValidation, RejectsHotspotRadiusCoveringTheLattice) {
 
 TEST(CliConfigValidation, RejectsZeroStaleBatchFromCli) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.strategy_spec = parse_strategy_spec("two-choice(stale=0)");
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "core/experiment.hpp"
+#include "topology/lattice.hpp"
 
 namespace proxcache {
 namespace {
@@ -72,7 +73,7 @@ TEST(NearestCostModel, MatchesMonteCarloUniform) {
   const double predicted = nearest_cost_model(lattice, popularity, 4);
 
   ExperimentConfig config;
-  config.num_nodes = 625;
+  config.topology_spec = parse_topology_spec("torus(side=25)");
   config.num_files = 80;
   config.cache_size = 4;
   config.strategy_spec = parse_strategy_spec("nearest");
@@ -88,7 +89,7 @@ TEST(NearestCostModel, MatchesMonteCarloZipf) {
   const double predicted = nearest_cost_model(lattice, popularity, 2);
 
   ExperimentConfig config;
-  config.num_nodes = 625;
+  config.topology_spec = parse_topology_spec("torus(side=25)");
   config.num_files = 200;
   config.cache_size = 2;
   config.popularity.kind = PopularityKind::Zipf;

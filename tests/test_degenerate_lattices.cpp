@@ -13,6 +13,7 @@
 #include "queueing/supermarket.hpp"
 #include "spatial/voronoi.hpp"
 #include "topology/lattice.hpp"
+#include "topology/registry.hpp"
 #include "topology/shells.hpp"
 
 namespace proxcache {
@@ -68,8 +69,7 @@ TEST_P(DegenerateSimulationTest, EveryStrategyAndPolicyIsTotal) {
     for (const MissingFilePolicy missing :
          {MissingFilePolicy::Resample, MissingFilePolicy::Drop}) {
       ExperimentConfig config;
-      config.num_nodes = num_nodes;
-      config.wrap = wrap;
+      config.topology_spec = topology_spec_from_lattice(num_nodes, wrap);
       config.num_files = 5;
       config.cache_size = 2;
       config.missing = missing;
@@ -102,7 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DegenerateLattice, SingleNodeSimulationServesEverythingLocally) {
   ExperimentConfig config;
-  config.num_nodes = 1;
+  config.topology_spec = parse_topology_spec("torus(side=1)");
   config.num_files = 3;
   config.cache_size = 2;
   config.strategy_spec = parse_strategy_spec("two-choice");
@@ -117,8 +117,7 @@ TEST(DegenerateLattice, HotspotAtMaximumLegalRadius) {
   // grid is truncated by both edges around the central node.
   for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
     ExperimentConfig config;
-    config.num_nodes = 4;
-    config.wrap = wrap;
+    config.topology_spec = topology_spec_from_lattice(4, wrap);
     config.num_files = 4;
     config.cache_size = 2;
     config.origins.kind = OriginKind::Hotspot;
@@ -142,7 +141,7 @@ TEST(DegenerateLattice, VoronoiOnSingleNode) {
 
 TEST(DegenerateLattice, SupermarketQueueOnSingleNode) {
   QueueingConfig config;
-  config.network.num_nodes = 1;
+  config.network.topology_spec = parse_topology_spec("torus(side=1)");
   config.network.num_files = 1;
   config.network.cache_size = 1;
   config.network.strategy_spec = parse_strategy_spec("nearest");

@@ -50,7 +50,7 @@ void expect_pool_invariant(const ExperimentConfig& config) {
 // Config 1: Strategy I (nearest replica) + Resample missing-file policy.
 TEST(Determinism, NearestReplicaResample) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.popularity.kind = PopularityKind::Zipf;
@@ -63,7 +63,7 @@ TEST(Determinism, NearestReplicaResample) {
 // Config 2: Strategy II, finite radius, ExpandRadius fallback.
 TEST(Determinism, TwoChoiceExpandRadius) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.strategy_spec =
@@ -76,7 +76,7 @@ TEST(Determinism, TwoChoiceExpandRadius) {
 // mixing, hotspot origins, and the Drop missing-file policy.
 TEST(Determinism, TwoChoiceNearestFallbackStaleBeta) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 4;
   config.popularity.kind = PopularityKind::Zipf;
@@ -97,14 +97,14 @@ TEST(Determinism, ScenarioTraceSourcesArePoolInvariant) {
   ExperimentConfig config = ScenarioRegistry::built_ins()
                                 .at("flash-crowd")
                                 .config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.seed = 404;
   expect_pool_invariant(config);
 
   config = ScenarioRegistry::built_ins().at("churn").config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.seed = 505;
@@ -156,7 +156,7 @@ TEST(Determinism, SimulationContextMatchesStaticGoldenMaster) {
 // as the config entry point.
 TEST(Determinism, SharedContextIsPoolInvariant) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.popularity.kind = PopularityKind::Zipf;
@@ -195,7 +195,7 @@ TEST(Determinism, RegistrySpecPathMatchesEnumGoldenMaster) {
   // And the nearest-replica golden from the Hotspot contract below, via
   // the registry path.
   ExperimentConfig hotspot;
-  hotspot.num_nodes = 1024;
+  hotspot.topology_spec = parse_topology_spec("torus(side=32)");
   hotspot.num_files = 300;
   hotspot.cache_size = 8;
   hotspot.origins.kind = OriginKind::Hotspot;
@@ -215,7 +215,7 @@ TEST(Determinism, RegistrySpecPathMatchesEnumGoldenMaster) {
 TEST(Determinism, SpecPathIsPresetInvariant) {
   for (const Scenario& scenario : ScenarioRegistry::built_ins().all()) {
     ExperimentConfig base = scenario.config;
-    base.num_nodes = 400;
+    base.topology_spec = parse_topology_spec("torus(side=20)");
     base.num_files = 80;
     base.cache_size = 6;
     base.seed = 808;
@@ -244,7 +244,7 @@ TEST(Determinism, SpecPathIsPresetInvariant) {
 // the paper pair: pool-invariant and rerun-stable.
 TEST(Determinism, ExtensionStrategiesArePoolInvariant) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.popularity.kind = PopularityKind::Zipf;
@@ -291,7 +291,7 @@ TEST(Determinism, ShardedSeedContractGoldenMaster) {
   // comm_cost, which nearest fully determines up to replica tie-breaks) is
   // generated on the identical sequential stream as the serial engine.
   ExperimentConfig hotspot;
-  hotspot.num_nodes = 1024;
+  hotspot.topology_spec = parse_topology_spec("torus(side=32)");
   hotspot.num_files = 300;
   hotspot.cache_size = 8;
   hotspot.origins.kind = OriginKind::Hotspot;
@@ -312,7 +312,7 @@ TEST(Determinism, ShardedSeedContractGoldenMaster) {
 // popularity keeps every quantity integer-derived and platform-portable.
 TEST(Determinism, HotspotSeedContractGoldenMaster) {
   ExperimentConfig config;
-  config.num_nodes = 1024;
+  config.topology_spec = parse_topology_spec("torus(side=32)");
   config.num_files = 300;
   config.cache_size = 8;
   config.origins.kind = OriginKind::Hotspot;

@@ -15,7 +15,7 @@ namespace {
 
 DynamicConfig base_config() {
   DynamicConfig config;
-  config.network.num_nodes = 100;
+  config.network.topology_spec = parse_topology_spec("torus(side=10)");
   config.network.num_files = 40;
   config.network.cache_size = 5;
   config.network.seed = 5;

@@ -16,7 +16,7 @@ namespace {
 
 QueueingConfig base_config() {
   QueueingConfig config;
-  config.network.num_nodes = 100;
+  config.network.topology_spec = parse_topology_spec("torus(side=10)");
   config.network.num_files = 20;
   config.network.cache_size = 5;
   config.network.seed = 5;

@@ -9,7 +9,7 @@ namespace {
 
 ExperimentConfig base_config() {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 20;
   config.cache_size = 4;
   config.seed = 7;
@@ -76,7 +76,7 @@ TEST(Experiment, MoreRunsShrinkStandardError) {
 // against the serial path.
 TEST(Experiment, TenThousandTinyReplicationsStressThePool) {
   ExperimentConfig config;
-  config.num_nodes = 16;
+  config.topology_spec = parse_topology_spec("torus(side=4)");
   config.num_files = 4;
   config.cache_size = 2;
   config.num_requests = 8;

@@ -46,7 +46,7 @@ TEST(LoadCv, ZeroMeanIsZero) {
 
 TEST(FairnessEndToEnd, TwoChoiceIsFairerThanNearest) {
   ExperimentConfig nearest;
-  nearest.num_nodes = 1024;
+  nearest.topology_spec = parse_topology_spec("torus(side=32)");
   nearest.num_files = 16;
   nearest.cache_size = 8;
   nearest.seed = 21;

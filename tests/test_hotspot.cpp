@@ -95,7 +95,7 @@ TEST(HotspotTrace, RejectsBadFraction) {
 
 TEST(HotspotEndToEnd, ConcentratedDemandRaisesMaxLoad) {
   ExperimentConfig uniform;
-  uniform.num_nodes = 625;
+  uniform.topology_spec = parse_topology_spec("torus(side=25)");
   uniform.num_files = 50;
   uniform.cache_size = 5;
   uniform.seed = 3;
@@ -114,7 +114,7 @@ TEST(HotspotEndToEnd, ConcentratedDemandRaisesMaxLoad) {
 
 TEST(HotspotEndToEnd, LargerRadiusAbsorbsTheHotspot) {
   ExperimentConfig config;
-  config.num_nodes = 625;
+  config.topology_spec = parse_topology_spec("torus(side=25)");
   config.num_files = 50;
   config.cache_size = 5;
   config.seed = 4;

@@ -17,7 +17,7 @@ namespace {
 TEST(Integration, TwoChoiceBeatsNearestAtHighReplication) {
   // High replication (M/K large): Strategy II should balance much better.
   ExperimentConfig nearest;
-  nearest.num_nodes = 1024;
+  nearest.topology_spec = parse_topology_spec("torus(side=32)");
   nearest.num_files = 16;
   nearest.cache_size = 8;
   nearest.seed = 1;
@@ -34,7 +34,7 @@ TEST(Integration, Example1FullMemoryMatchesClassicTwoChoice) {
   // M = K, r = ∞ (paper Example 1): Strategy II is the standard balanced
   // allocation process; max load should sit near the d=2 balls-in-bins run.
   ExperimentConfig config;
-  config.num_nodes = 1024;
+  config.topology_spec = parse_topology_spec("torus(side=32)");
   config.num_files = 4;
   config.cache_size = 64;  // with-replacement draws cover all 4 files whp
   config.seed = 2;
@@ -54,7 +54,7 @@ TEST(Integration, Example2LowMemoryAnnihilatesTwoChoices) {
   // power of two choices; Strategy II behaves like one-choice-with-structure
   // and its max load exceeds the classical two-choice level clearly.
   ExperimentConfig config;
-  config.num_nodes = 1024;
+  config.topology_spec = parse_topology_spec("torus(side=32)");
   config.num_files = 1024;
   config.cache_size = 1;
   config.seed = 3;
@@ -73,7 +73,7 @@ TEST(Integration, Example3SmallLibraryKeepsTwoChoices) {
   // K = n^{1-ε}, M = 1 (paper Example 3): disjoint sub-problems each with
   // n/K ≈ 32 replicas; two choices survive.
   ExperimentConfig config;
-  config.num_nodes = 1024;
+  config.topology_spec = parse_topology_spec("torus(side=32)");
   config.num_files = 32;  // n^(1/2)
   config.cache_size = 1;
   config.seed = 4;
@@ -87,7 +87,7 @@ TEST(Integration, Example3SmallLibraryKeepsTwoChoices) {
 TEST(Integration, CostOrderingAcrossStrategies) {
   // nearest <= two-choice(r) <= two-choice(∞) in communication cost.
   ExperimentConfig base;
-  base.num_nodes = 625;
+  base.topology_spec = parse_topology_spec("torus(side=25)");
   base.num_files = 50;
   base.cache_size = 5;
   base.seed = 5;
@@ -109,7 +109,7 @@ TEST(Integration, CostOrderingAcrossStrategies) {
 TEST(Integration, RadiusTradeoffMonotoneInCost) {
   // Growing r monotonically raises communication cost (Fig. 5's x-axis).
   ExperimentConfig config;
-  config.num_nodes = 625;
+  config.topology_spec = parse_topology_spec("torus(side=25)");
   config.num_files = 50;
   config.cache_size = 10;
   config.seed = 6;
@@ -127,7 +127,7 @@ TEST(Integration, FallbackRateVanishesInGoodRegime) {
   // Theorem 4 regime: F_j(u) = ω(log n) candidates per request w.h.p., so
   // fallbacks should be (essentially) absent.
   ExperimentConfig config;
-  config.num_nodes = 900;
+  config.topology_spec = parse_topology_spec("torus(side=30)");
   config.num_files = 900;
   config.cache_size = 30;   // M = n^0.5
   config.seed = 7;
@@ -175,13 +175,13 @@ TEST(Integration, MaxLoadGrowsSlowlyForTwoChoice) {
   // Max load at n=400 vs n=6400 under Theorem 6-ish conditions: growth
   // should be far below the log n factor-ish growth of Strategy I.
   ExperimentConfig small;
-  small.num_nodes = 400;
+  small.topology_spec = parse_topology_spec("torus(side=20)");
   small.num_files = 8;
   small.cache_size = 8;
   small.seed = 10;
   small.strategy_spec = parse_strategy_spec("two-choice");
   ExperimentConfig large = small;
-  large.num_nodes = 6400;
+  large.topology_spec = parse_topology_spec("torus(side=80)");
 
   const double l_small = run_experiment(small, 6).max_load.mean();
   const double l_large = run_experiment(large, 6).max_load.mean();

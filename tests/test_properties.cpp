@@ -8,6 +8,7 @@
 
 #include "core/experiment.hpp"
 #include "strategy/registry.hpp"
+#include "topology/registry.hpp"
 #include "core/simulation.hpp"
 
 namespace proxcache {
@@ -22,11 +23,10 @@ class SimulationPropertyTest : public ::testing::TestWithParam<ConfigPoint> {
   ExperimentConfig config() const {
     const auto [n, k, m, strategy, wrap, popularity] = GetParam();
     ExperimentConfig config;
-    config.num_nodes = n;
+    config.topology_spec = topology_spec_from_lattice(n, wrap);
     config.num_files = k;
     config.cache_size = m;
     config.strategy_spec = parse_strategy_spec(strategy);
-    config.wrap = wrap;
     config.popularity.kind = popularity;
     config.popularity.gamma = 0.8;
     config.seed = 0xFEED;
@@ -38,11 +38,11 @@ TEST_P(SimulationPropertyTest, ConservationAndSanity) {
   const RunResult result = run_simulation(config(), 0);
   const ExperimentConfig cfg = config();
   // Resample policy: every request served, none dropped.
-  EXPECT_EQ(result.requests, cfg.num_nodes);
+  EXPECT_EQ(result.requests, cfg.resolved_nodes());
   EXPECT_EQ(result.dropped, 0u);
   // Load histogram is a partition of the servers whose weighted sum equals
   // the served requests.
-  EXPECT_EQ(result.load_histogram.total(), cfg.num_nodes);
+  EXPECT_EQ(result.load_histogram.total(), cfg.resolved_nodes());
   std::uint64_t weighted = 0;
   for (std::uint64_t v = 0; v <= result.load_histogram.max_value(); ++v) {
     weighted += v * result.load_histogram.at(v);
@@ -52,8 +52,8 @@ TEST_P(SimulationPropertyTest, ConservationAndSanity) {
   EXPECT_GE(result.max_load, 1u);
   EXPECT_GT(result.load_histogram.at(result.max_load), 0u);
   // Communication cost is bounded by the diameter.
-  const Lattice lattice = Lattice::from_node_count(cfg.num_nodes, cfg.wrap);
-  EXPECT_LE(result.comm_cost, static_cast<double>(lattice.diameter()));
+  const auto topology = TopologyRegistry::global().make(cfg.topology_spec);
+  EXPECT_LE(result.comm_cost, static_cast<double>(topology->diameter()));
   EXPECT_GE(result.comm_cost, 0.0);
 }
 
@@ -106,7 +106,7 @@ class PolicyMatrixTest
 TEST_P(PolicyMatrixTest, PoliciesAreTotal) {
   const auto [missing, fallback] = GetParam();
   ExperimentConfig config;
-  config.num_nodes = 169;
+  config.topology_spec = parse_topology_spec("torus(side=13)");
   config.num_files = 300;  // K > n with M=1: many uncached files
   config.cache_size = 1;
   config.seed = 0xFEE7;
@@ -128,11 +128,11 @@ TEST_P(PolicyMatrixTest, PoliciesAreTotal) {
     EXPECT_EQ(result.requests + result.dropped,
               missing == MissingFilePolicy::Drop
                   ? result.requests + result.dropped  // trivially true
-                  : config.num_nodes);
+                  : config.resolved_nodes());
   } else {
     // All surviving requests are served.
     if (missing == MissingFilePolicy::Resample) {
-      EXPECT_EQ(result.requests, config.num_nodes);
+      EXPECT_EQ(result.requests, config.resolved_nodes());
     }
   }
 }
@@ -170,14 +170,14 @@ class DChoiceSweepTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(DChoiceSweepTest, AllChoiceCountsWork) {
   ExperimentConfig config;
-  config.num_nodes = 196;
+  config.topology_spec = parse_topology_spec("torus(side=14)");
   config.num_files = 10;
   config.cache_size = 5;
   config.seed = 0xD;
   config.strategy_spec = parse_strategy_spec(
       "two-choice(d=" + std::to_string(GetParam()) + ")");
   const RunResult result = run_simulation(config, 0);
-  EXPECT_EQ(result.requests, config.num_nodes);
+  EXPECT_EQ(result.requests, config.resolved_nodes());
   EXPECT_GE(result.max_load, 1u);
 }
 

@@ -9,7 +9,7 @@ namespace {
 
 QueueingConfig base_config() {
   QueueingConfig config;
-  config.network.num_nodes = 100;
+  config.network.topology_spec = parse_topology_spec("torus(side=10)");
   config.network.num_files = 20;
   config.network.cache_size = 5;
   config.network.seed = 5;
@@ -24,7 +24,7 @@ QueueingConfig base_config() {
 TEST(Supermarket, MM1SojournMatchesTheory) {
   // Single server, single file: pure M/M/1 with λ=0.5, μ=1 → E[T] = 2.
   QueueingConfig config;
-  config.network.num_nodes = 1;
+  config.network.topology_spec = parse_topology_spec("torus(side=1)");
   config.network.num_files = 1;
   config.network.cache_size = 1;
   config.network.strategy_spec = parse_strategy_spec("nearest");

@@ -42,7 +42,7 @@ TEST(ScenarioRegistry, EveryPresetValidates) {
 TEST(ScenarioRegistry, EveryPresetRunsAtTestScale) {
   for (const Scenario& scenario : ScenarioRegistry::built_ins().all()) {
     ExperimentConfig config = scenario.config;
-    config.num_nodes = 100;
+    config.topology_spec = parse_topology_spec("torus(side=10)");
     config.num_files = 30;
     config.cache_size = 4;
     config.num_requests = 200;

@@ -73,7 +73,7 @@ void expect_thread_invariant(const SimulationContext& context,
 }
 
 ExperimentConfig shrunk(ExperimentConfig config) {
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   return config;
@@ -129,7 +129,7 @@ TEST(ShardedEquivalence, RingAndRggTopologies) {
 // exactly as the serial loop regardless of batch boundaries.
 TEST(ShardedEquivalence, StaleBetaAndFallbackDropCorner) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 60;
   config.cache_size = 3;
   config.popularity.kind = PopularityKind::Zipf;
@@ -149,7 +149,7 @@ TEST(ShardedEquivalence, StaleBetaAndFallbackDropCorner) {
 // engine width.
 TEST(ShardedEquivalence, ResampleRepairStreamWithUncachedFiles) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 400;
   config.cache_size = 2;
   config.popularity.kind = PopularityKind::Zipf;
@@ -172,7 +172,7 @@ TEST(ShardedEquivalence, ResampleRepairStreamWithUncachedFiles) {
 // the admitted ordinals (and with them the pinned streams) must stay dense.
 TEST(ShardedEquivalence, DropPolicyWithUncachedFiles) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 300;
   config.cache_size = 2;
   config.missing = MissingFilePolicy::Drop;
@@ -188,7 +188,7 @@ TEST(ShardedEquivalence, DropPolicyWithUncachedFiles) {
 // degenerate batch of 1 — must produce the identical RunResult.
 TEST(ShardedEquivalence, BatchSizeInvariance) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.strategy_spec = parse_strategy_spec("two-choice(r=8)");
@@ -208,7 +208,7 @@ TEST(ShardedEquivalence, BatchSizeInvariance) {
 // commit. Every width up to 8 must reproduce the width-1 schedule.
 TEST(ShardedEquivalence, HotspotWidthInvariance) {
   ExperimentConfig config;
-  config.num_nodes = 64;
+  config.topology_spec = parse_topology_spec("torus(side=8)");
   config.num_files = 10;
   config.cache_size = 4;
   config.popularity.kind = PopularityKind::Zipf;
@@ -225,7 +225,7 @@ TEST(ShardedEquivalence, HotspotWidthInvariance) {
 // only case that runs width 3, a two-worker pool.
 TEST(ShardedEquivalence, WideWindowWidthInvariance) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.popularity.kind = PopularityKind::Zipf;
@@ -281,7 +281,7 @@ TEST(ShardedEquivalence, CustomStrategyDecidedInPropose) {
          }});
   }
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 40;
   config.cache_size = 4;
   config.strategy_spec = parse_strategy_spec(name);

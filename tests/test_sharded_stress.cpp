@@ -47,7 +47,7 @@ void expect_identical_experiments(const ExperimentResult& a,
 // leak into results.
 TEST(ShardedStress, TenThousandShardedReplicationsChunkedSubmission) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 40;
   config.cache_size = 4;
   config.num_requests = 50;
@@ -72,7 +72,7 @@ TEST(ShardedStress, TenThousandShardedReplicationsChunkedSubmission) {
 // trace differ.
 TEST(ShardedStress, LongSingleRunShardRaceHunt) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.num_requests = 200000;
@@ -99,7 +99,7 @@ TEST(ShardedStress, LongSingleRunShardRaceHunt) {
 // proposed off-thread exactly once and lane totals tile the request count.
 TEST(ShardedStress, ShardStatsTileTheRun) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 40;
   config.cache_size = 4;
   config.num_requests = 5000;

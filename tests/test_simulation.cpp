@@ -9,7 +9,7 @@ namespace {
 
 ExperimentConfig base_config() {
   ExperimentConfig config;
-  config.num_nodes = 225;
+  config.topology_spec = parse_topology_spec("torus(side=15)");
   config.num_files = 50;
   config.cache_size = 5;
   config.seed = 99;
@@ -21,10 +21,10 @@ TEST(Simulation, ConservationUnderResample) {
   config.strategy_spec = parse_strategy_spec("nearest");
   const RunResult result = run_simulation(config, 0);
   // Resample keeps all n requests; none dropped.
-  EXPECT_EQ(result.requests, config.num_nodes);
+  EXPECT_EQ(result.requests, config.resolved_nodes());
   EXPECT_EQ(result.dropped, 0u);
   // Histogram covers every server and sums loads back to requests.
-  EXPECT_EQ(result.load_histogram.total(), config.num_nodes);
+  EXPECT_EQ(result.load_histogram.total(), config.resolved_nodes());
   std::uint64_t weighted = 0;
   for (std::uint64_t v = 0; v <= result.load_histogram.max_value(); ++v) {
     weighted += v * result.load_histogram.at(v);
@@ -59,7 +59,7 @@ TEST(Simulation, TwoChoiceUnboundedRadiusRuns) {
   ExperimentConfig config = base_config();
   config.strategy_spec = parse_strategy_spec("two-choice");
   const RunResult result = run_simulation(config, 0);
-  EXPECT_EQ(result.requests, config.num_nodes);
+  EXPECT_EQ(result.requests, config.resolved_nodes());
   EXPECT_GT(result.comm_cost, 0.0);
 }
 
@@ -89,9 +89,9 @@ TEST(Simulation, NearestCostLowerThanTwoChoiceUnbounded) {
 
 TEST(Simulation, GridModeRuns) {
   ExperimentConfig config = base_config();
-  config.wrap = Wrap::Grid;
+  config.topology_spec = parse_topology_spec("grid(side=15)");
   const RunResult result = run_simulation(config, 0);
-  EXPECT_EQ(result.requests, config.num_nodes);
+  EXPECT_EQ(result.requests, config.resolved_nodes());
 }
 
 TEST(Simulation, ExplicitRequestCount) {
@@ -112,9 +112,6 @@ TEST(Simulation, PlacementObservablesPopulated) {
 
 TEST(Simulation, ValidatesConfig) {
   ExperimentConfig config = base_config();
-  config.num_nodes = 10;  // not a perfect square
-  EXPECT_THROW(run_simulation(config, 0), std::invalid_argument);
-  config = base_config();
   config.cache_size = 0;
   EXPECT_THROW(run_simulation(config, 0), std::invalid_argument);
 }

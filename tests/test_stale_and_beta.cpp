@@ -57,7 +57,7 @@ TEST(StaleLoadView, RefreshBoundaryIsExact) {
 // exactly like one whose snapshot never refreshes at all.
 TEST(StaleSimulation, PeriodEqualToTraceLengthMatchesNeverRefreshed) {
   ExperimentConfig config;
-  config.num_nodes = 225;
+  config.topology_spec = parse_topology_spec("torus(side=15)");
   config.num_files = 30;
   config.cache_size = 5;
   config.seed = 11;
@@ -93,7 +93,7 @@ TEST(StaleLoadView, FallbacksAndDropsDoNotAdvanceTheClock) {
 // request is either assigned or counted dropped.
 TEST(StaleSimulation, StaleRunWithFallbackDropsKeepsTheLedger) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 60;
   config.cache_size = 2;
   config.popularity.kind = PopularityKind::Zipf;
@@ -108,7 +108,7 @@ TEST(StaleSimulation, StaleRunWithFallbackDropsKeepsTheLedger) {
 
 TEST(StaleSimulation, FreshEqualsPeriodOne) {
   ExperimentConfig fresh;
-  fresh.num_nodes = 225;
+  fresh.topology_spec = parse_topology_spec("torus(side=15)");
   fresh.num_files = 30;
   fresh.cache_size = 5;
   fresh.seed = 5;
@@ -126,7 +126,7 @@ TEST(StaleSimulation, ExtremeStalenessDegradesTowardOneChoice) {
   // Never-refreshed loads (period >> m) make the comparison vacuous (all
   // zeros → uniform tie break), i.e. effectively one uniform choice.
   ExperimentConfig base;
-  base.num_nodes = 1024;
+  base.topology_spec = parse_topology_spec("torus(side=32)");
   base.num_files = 16;
   base.cache_size = 8;
   base.seed = 6;
@@ -148,7 +148,7 @@ TEST(StaleSimulation, ExtremeStalenessDegradesTowardOneChoice) {
 
 TEST(StaleSimulation, ModerateStalenessDegradesGracefully) {
   ExperimentConfig config;
-  config.num_nodes = 1024;
+  config.topology_spec = parse_topology_spec("torus(side=32)");
   config.num_files = 16;
   config.cache_size = 8;
   config.seed = 7;
@@ -187,7 +187,7 @@ void expect_width_one_equals_width_four(const SimulationContext& context,
 // throughout the run.
 TEST(StaleSimulation, FrozenStaleViewIsWidthInvariant) {
   ExperimentConfig config;
-  config.num_nodes = 225;
+  config.topology_spec = parse_topology_spec("torus(side=15)");
   config.num_files = 30;
   config.cache_size = 5;
   config.seed = 13;
@@ -206,7 +206,7 @@ TEST(StaleSimulation, FrozenStaleViewIsWidthInvariant) {
 // requests.
 TEST(StaleSimulation, RefreshingStaleViewIsWidthInvariant) {
   ExperimentConfig config;
-  config.num_nodes = 64;
+  config.topology_spec = parse_topology_spec("torus(side=8)");
   config.num_files = 20;
   config.cache_size = 4;
   config.popularity.kind = PopularityKind::Zipf;
@@ -220,7 +220,7 @@ TEST(StaleSimulation, RefreshingStaleViewIsWidthInvariant) {
 
 TEST(OnePlusBeta, BetaOneIsTheDefaultProcess) {
   ExperimentConfig a;
-  a.num_nodes = 225;
+  a.topology_spec = parse_topology_spec("torus(side=15)");
   a.num_files = 10;
   a.cache_size = 5;
   a.seed = 8;
@@ -232,7 +232,7 @@ TEST(OnePlusBeta, BetaOneIsTheDefaultProcess) {
 
 TEST(OnePlusBeta, BetaZeroMatchesOneChoiceLevel) {
   ExperimentConfig one_choice;
-  one_choice.num_nodes = 1024;
+  one_choice.topology_spec = parse_topology_spec("torus(side=32)");
   one_choice.num_files = 16;
   one_choice.cache_size = 8;
   one_choice.seed = 9;
@@ -251,7 +251,7 @@ TEST(OnePlusBeta, BetaZeroMatchesOneChoiceLevel) {
 
 TEST(OnePlusBeta, LoadDecreasesInBeta) {
   ExperimentConfig config;
-  config.num_nodes = 1024;
+  config.topology_spec = parse_topology_spec("torus(side=32)");
   config.num_files = 16;
   config.cache_size = 8;
   config.seed = 10;

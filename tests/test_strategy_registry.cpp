@@ -37,7 +37,7 @@ void expect_invalid(const StrategySpec& spec, const std::string& needle) {
 
 ExperimentConfig small_config() {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   config.popularity.kind = PopularityKind::Zipf;
@@ -161,12 +161,12 @@ TEST(StrategyRegistry, WithDefaultsFillsDeclaredRuleValues) {
 TEST(StrategyRegistry, DeclaredDefaultsMatchEffectiveDefaults) {
   const ExperimentConfig config = small_config();
   const Lattice lattice =
-      Lattice::from_node_count(config.num_nodes, config.wrap);
+      Lattice::from_node_count(config.resolved_nodes(), Wrap::Torus);
   const Popularity popularity =
       config.popularity.materialize(config.num_files);
   Rng rng(13);
   const Placement placement =
-      Placement::generate(config.num_nodes, popularity, config.cache_size,
+      Placement::generate(lattice.size(), popularity, config.cache_size,
                           config.placement_mode, rng);
   const ReplicaIndex index(lattice, placement);
   const StrategyRegistry& registry = StrategyRegistry::built_ins();
@@ -231,12 +231,12 @@ TEST(StrategyRegistry, CustomEntryIsConstructible) {
 
   const ExperimentConfig config = small_config();
   const Lattice lattice =
-      Lattice::from_node_count(config.num_nodes, config.wrap);
+      Lattice::from_node_count(config.resolved_nodes(), Wrap::Torus);
   const Popularity popularity =
       config.popularity.materialize(config.num_files);
   Rng rng(7);
   const Placement placement =
-      Placement::generate(config.num_nodes, popularity, config.cache_size,
+      Placement::generate(lattice.size(), popularity, config.cache_size,
                           config.placement_mode, rng);
   const ReplicaIndex index(lattice, placement);
   const auto strategy = registry.make(parse_strategy_spec("first-replica"),
@@ -286,7 +286,7 @@ TEST(StrategyRegistry, GlobalRegistryDrivesTheSimulatorEndToEnd) {
   config.strategy_spec.name = name;
   config.validate();  // global() is consulted: no throw
   const RunResult result = run_simulation(config, 0);
-  EXPECT_EQ(result.requests, config.num_nodes);
+  EXPECT_EQ(result.requests, config.resolved_nodes());
   EXPECT_EQ(result.dropped, 0u);
   // built_ins() stays immutable: the custom entry is not there.
   EXPECT_EQ(StrategyRegistry::built_ins().find(name), nullptr);
@@ -295,12 +295,12 @@ TEST(StrategyRegistry, GlobalRegistryDrivesTheSimulatorEndToEnd) {
 TEST(StrategyRegistry, FactoriesProduceExpectedStrategyTypes) {
   const ExperimentConfig config = small_config();
   const Lattice lattice =
-      Lattice::from_node_count(config.num_nodes, config.wrap);
+      Lattice::from_node_count(config.resolved_nodes(), Wrap::Torus);
   const Popularity popularity =
       config.popularity.materialize(config.num_files);
   Rng rng(11);
   const Placement placement =
-      Placement::generate(config.num_nodes, popularity, config.cache_size,
+      Placement::generate(lattice.size(), popularity, config.cache_size,
                           config.placement_mode, rng);
   const ReplicaIndex index(lattice, placement);
   const StrategyRegistry& registry = StrategyRegistry::built_ins();
@@ -349,7 +349,7 @@ TEST(LeastLoadedStrategy, BalancesAtLeastAsWellAsTwoChoice) {
   // spectrum; with the full candidate set the max load cannot be worse by
   // more than noise. Allow one unit of slack for tie-breaking randomness.
   EXPECT_LE(all.max_load, two.max_load + 1);
-  EXPECT_EQ(all.requests, config.num_nodes);
+  EXPECT_EQ(all.requests, config.resolved_nodes());
   EXPECT_EQ(all.dropped, 0u);
 }
 
@@ -419,7 +419,7 @@ TEST(ProxWeightedStrategy, SingleChoiceServesEveryRequest) {
   ExperimentConfig config = small_config();
   config.strategy_spec = parse_strategy_spec("prox-weighted(d=1, alpha=2)");
   const RunResult result = run_simulation(config, 0);
-  EXPECT_EQ(result.requests, config.num_nodes);
+  EXPECT_EQ(result.requests, config.resolved_nodes());
   EXPECT_EQ(result.dropped, 0u);
   EXPECT_EQ(result.fallbacks, 0u);
 }
@@ -548,7 +548,7 @@ TEST(ProxWeightedStrategy, LongRingAtAlpha64ServesEveryRequest) {
 TEST(StrategyRegistry, CanonicalRoundTripIsBitIdentical) {
   for (const Scenario& scenario : ScenarioRegistry::built_ins().all()) {
     ExperimentConfig config = scenario.config;
-    config.num_nodes = 400;
+    config.topology_spec = parse_topology_spec("torus(side=20)");
     config.num_files = 80;
     config.cache_size = 6;
     config.seed = 909;

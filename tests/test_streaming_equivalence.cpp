@@ -222,7 +222,7 @@ TEST(StreamingEquivalence, EveryRegistryPresetTimesBothStrategies) {
   for (const Scenario& scenario : ScenarioRegistry::built_ins().all()) {
     for (const char* name : {"nearest", "two-choice"}) {
       ExperimentConfig config = scenario.config;
-      config.num_nodes = 400;
+      config.topology_spec = parse_topology_spec("torus(side=20)");
       config.num_files = 80;
       config.cache_size = 6;
       config.strategy_spec = parse_strategy_spec(name);
@@ -240,7 +240,7 @@ TEST(StreamingEquivalence, EveryRegistryPresetTimesBothStrategies) {
 // proves that branch ran.
 TEST(StreamingEquivalence, ResampleRepairStreamWithUncachedFiles) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 400;
   config.cache_size = 2;
   config.popularity.kind = PopularityKind::Zipf;
@@ -259,7 +259,7 @@ TEST(StreamingEquivalence, ResampleRepairStreamWithUncachedFiles) {
 // consuming strategy draws for the dropped requests.
 TEST(StreamingEquivalence, DropPolicyWithUncachedFiles) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 300;
   config.cache_size = 2;
   config.missing = MissingFilePolicy::Drop;
@@ -274,7 +274,7 @@ TEST(StreamingEquivalence, DropPolicyWithUncachedFiles) {
 // uncached request.
 TEST(StreamingEquivalence, StrictPolicyThrowsInBothPaths) {
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 300;
   config.cache_size = 2;
   config.missing = MissingFilePolicy::Strict;
@@ -305,7 +305,7 @@ TEST(StreamingEquivalence, RingTopologyMatchesMaterializedPipeline) {
 // Drop fallback (kInvalidNode drops), (1+β) mixing, and stale snapshots.
 TEST(StreamingEquivalence, StaleBetaAndFallbackDrop) {
   ExperimentConfig config;
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 60;
   config.cache_size = 3;
   config.popularity.kind = PopularityKind::Zipf;

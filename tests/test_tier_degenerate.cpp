@@ -82,16 +82,15 @@ void expect_degenerate_identical(const ExperimentConfig& flat,
 }
 
 ExperimentConfig shrunk(ExperimentConfig config) {
-  config.num_nodes = 400;
+  config.topology_spec = parse_topology_spec("torus(side=20)");
   config.num_files = 80;
   config.cache_size = 6;
   return config;
 }
 
 // The headline sweep: every scenario preset × all four flat strategies on
-// the paper's torus (the presets' legacy lattice knobs resolve to
-// torus(side=20) at the shrunk scale, and the degenerate spec must spell
-// that same lattice through the tier grammar).
+// the paper's torus (torus(side=20) at the shrunk scale, and the
+// degenerate spec must spell that same lattice through the tier grammar).
 TEST(TierDegenerate, EveryPresetTimesEveryStrategyOnTorus) {
   for (const Scenario& scenario : ScenarioRegistry::built_ins().all()) {
     for (const char* name :
@@ -138,7 +137,7 @@ TEST(TierDegenerate, RingAndRggTopologies) {
 TEST(TierDegenerate, PolicyCornersSurviveTheRewrite) {
   {
     ExperimentConfig config;
-    config.num_nodes = 400;
+    config.topology_spec = parse_topology_spec("torus(side=20)");
     config.num_files = 60;
     config.cache_size = 3;
     config.popularity.kind = PopularityKind::Zipf;
@@ -150,7 +149,7 @@ TEST(TierDegenerate, PolicyCornersSurviveTheRewrite) {
   }
   {
     ExperimentConfig config;
-    config.num_nodes = 100;
+    config.topology_spec = parse_topology_spec("torus(side=10)");
     config.num_files = 400;
     config.cache_size = 2;
     config.popularity.kind = PopularityKind::Zipf;
@@ -161,7 +160,7 @@ TEST(TierDegenerate, PolicyCornersSurviveTheRewrite) {
   }
   {
     ExperimentConfig config;
-    config.num_nodes = 100;
+    config.topology_spec = parse_topology_spec("torus(side=10)");
     config.num_files = 300;
     config.cache_size = 2;
     config.missing = MissingFilePolicy::Drop;

@@ -253,12 +253,12 @@ TEST(TieredEngine, CrossStrategiesRequireAHierarchy) {
   // Flat config: the registry flags the strategy as tier-routing and
   // validation names the missing piece.
   ExperimentConfig flat;
-  flat.num_nodes = 400;
+  flat.topology_spec = parse_topology_spec("torus(side=20)");
   flat.strategy_spec = parse_strategy_spec("cross-two-choice");
   EXPECT_THROW(SimulationContext{flat}, std::invalid_argument);
   // A degenerate spec is still the flat path, so it must be rejected too.
   ExperimentConfig degenerate = flat;
-  degenerate.num_nodes = 2025;
+  degenerate.topology_spec = TopologySpec{};
   degenerate.tier_spec = parse_tier_spec("tiers(front=torus(side=20))");
   EXPECT_THROW(SimulationContext{degenerate}, std::invalid_argument);
 }
@@ -278,7 +278,7 @@ TEST(TieredEngine, ExperimentAggregatesPerTierSummaries) {
   EXPECT_LE(result.origin_offload.mean(), 1.0);
   // Flat runs must not grow the hierarchy metrics.
   ExperimentConfig flat;
-  flat.num_nodes = 400;
+  flat.topology_spec = parse_topology_spec("torus(side=20)");
   flat.num_files = 60;
   flat.cache_size = 3;
   const ExperimentResult flat_result = run_experiment(flat, 2);
@@ -345,7 +345,7 @@ TEST(TieredEngine, DynamicEngineSlicesQueuesByTier) {
   EXPECT_GT(result.admitted, 0u);
   // The flat path stays tier-silent.
   DynamicConfig flat;
-  flat.network.num_nodes = 400;
+  flat.network.topology_spec = parse_topology_spec("torus(side=20)");
   flat.horizon = 20.0;
   const DynamicResult flat_result = run_dynamic(flat, 0x9D1);
   EXPECT_TRUE(flat_result.tier_queues.empty());

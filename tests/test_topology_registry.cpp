@@ -103,7 +103,7 @@ TEST(TopologyRegistry, MakeBuildsTheDescribedTopology) {
   EXPECT_EQ(ring->diameter(), 5u);
 }
 
-TEST(TopologyRegistry, LegacyLatticeKnobsMapToEquivalentSpec) {
+TEST(TopologyRegistry, LatticeNodeCountsMapToEquivalentSpec) {
   EXPECT_EQ(topology_spec_from_lattice(2025, Wrap::Torus).to_string(),
             "torus(side=45)");
   EXPECT_EQ(topology_spec_from_lattice(64, Wrap::Grid).to_string(),
@@ -111,13 +111,12 @@ TEST(TopologyRegistry, LegacyLatticeKnobsMapToEquivalentSpec) {
   EXPECT_THROW((void)topology_spec_from_lattice(10, Wrap::Torus),
                std::invalid_argument);
 
-  // And the config-level resolution: empty spec -> legacy knobs; set spec
-  // wins and decides the node count.
+  // And the config-level resolution: empty spec -> the paper's torus; a
+  // set spec wins and decides the node count.
   ExperimentConfig config;
   EXPECT_EQ(config.resolved_topology().to_string(), "torus(side=45)");
   EXPECT_EQ(config.resolved_nodes(), 2025u);
-  config.wrap = Wrap::Grid;
-  config.num_nodes = 64;
+  config.topology_spec = topology_spec_from_lattice(64, Wrap::Grid);
   EXPECT_EQ(config.resolved_topology().to_string(), "grid(side=8)");
   config.topology_spec = parse_topology_spec("ring(n=300)");
   EXPECT_EQ(config.resolved_topology().to_string(), "ring(n=300)");
@@ -187,7 +186,6 @@ TEST(TopologyRegistry, ConfigValidationRoutesThroughTheRegistry) {
   config.topology_spec = parse_topology_spec("moebius");
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.topology_spec = parse_topology_spec("ring(n=256)");
-  config.num_nodes = 999;  // ignored when a spec is set: no square check
   EXPECT_NO_THROW(config.validate());
 }
 

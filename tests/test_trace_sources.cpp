@@ -206,7 +206,7 @@ TEST(OriginComposition, FactoryForwardsOriginSpecToFileProcesses) {
   const Lattice lattice = test_lattice();
   const Popularity popularity = Popularity::zipf(20, 0.8);
   ExperimentConfig config;
-  config.num_nodes = 100;
+  config.topology_spec = parse_topology_spec("torus(side=10)");
   config.num_files = 20;
   config.popularity.kind = PopularityKind::Zipf;
   config.popularity.gamma = 0.8;
@@ -238,7 +238,7 @@ TEST(Factory, DispatchesEveryTraceKind) {
   };
   for (const auto& c : cases) {
     ExperimentConfig config;
-    config.num_nodes = 100;
+    config.topology_spec = parse_topology_spec("torus(side=10)");
     config.num_files = 20;
     config.popularity.kind = PopularityKind::Zipf;
     config.popularity.gamma = 0.8;
