@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "queueing/supermarket.hpp"
+#include "event/engine.hpp"
 
 namespace {
 
@@ -20,21 +20,22 @@ int run(const bench::BenchOptions& options) {
                "mean hops", "utilization"});
   bool jsq_wins_queue = true;
   for (const double lambda : loads) {
-    QueueingConfig config;
+    DynamicConfig config;
     config.network.topology_spec = parse_topology_spec("torus(side=20)");
     config.network.num_files = 100;
     config.network.cache_size = 10;
     config.network.seed = options.seed;
-    config.arrival_rate = lambda;
+    config.network.trace.arrival_rate = lambda;
     config.service_rate = 1.0;
     config.horizon = 150.0 + 10.0 * static_cast<double>(options.runs);
     config.warmup_fraction = 0.25;
 
     config.network.strategy_spec = parse_strategy_spec("two-choice(r=8)");
-    const QueueingResult two = run_supermarket(config, options.seed);
+    const QueueingResult two = run_dynamic(config, options.seed).queueing;
 
     config.network.strategy_spec = parse_strategy_spec("nearest");
-    const QueueingResult nearest = run_supermarket(config, options.seed + 1);
+    const QueueingResult nearest =
+        run_dynamic(config, options.seed + 1).queueing;
 
     table.add_row({Cell(lambda, 2), Cell("two-choice(r=8)"),
                    Cell(two.mean_sojourn, 2), Cell(two.mean_queue, 3),

@@ -6,8 +6,10 @@
 // contents evolve under a CachePolicyRegistry replacement policy (lru /
 // lfu / ewma, or `static` for the paper's frozen placement). Prints the
 // aggregate queueing + cache-dynamics summary and the time-windowed series
-// (hit rate, p99 sojourn, peak queue per window).
+// (hit rate, p99 sojourn, peak queue per window). `--policy static` at zero
+// hop latency is the supermarket model of paper §VI.
 //
+//   $ ./dynamic_runner --policy static --arrival 0.9 --horizon 2000
 //   $ ./dynamic_runner --policy "lru(capacity=4)"
 //   $ ./dynamic_runner --scenario flash-crowd --hop-latency 0.1
 //   $ ./dynamic_runner --policy "ewma(decay=0.3)" --policy static
@@ -139,8 +141,8 @@ int main(int argc, char** argv) {
 
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   Table summary({"policy", "hit%", "p99 sojourn", "mean sojourn",
-                 "max queue", "mean hops", "completed", "evictions",
-                 "origin fetch"});
+                 "mean queue", "max queue", "mean hops", "utilization",
+                 "completed", "evictions", "origin fetch"});
   std::vector<DynamicResult> results;
   for (const CachePolicySpec& policy : policies) {
     config.cache_policy = policy;
@@ -155,8 +157,10 @@ int main(int argc, char** argv) {
                      Cell(result.hit_rate * 100.0, 1),
                      Cell(result.p99_sojourn, 3),
                      Cell(result.queueing.mean_sojourn, 3),
+                     Cell(result.queueing.mean_queue, 3),
                      Cell(static_cast<double>(result.queueing.max_queue), 0),
                      Cell(result.queueing.mean_hops, 2),
+                     Cell(result.queueing.utilization, 3),
                      Cell(static_cast<double>(result.queueing.completed), 0),
                      Cell(static_cast<double>(result.evictions), 0),
                      Cell(static_cast<double>(result.origin_fetches), 0)});

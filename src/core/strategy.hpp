@@ -15,12 +15,11 @@
 /// loads and finishes the decision on the same stream.
 ///
 /// `Strategy::assign` is the one-shot composition `propose; choose` on one
-/// Rng, with a private arena. The serial loop, the event engine and the
-/// supermarket model call it; the sharded engine runs `propose` on a worker
-/// pool and `choose` serially in request order. Because `assign` is not
-/// virtual, the two paths cannot drift apart: the serial engine's golden
-/// masters (tests/test_determinism.cpp) lock the halves the sharded engine
-/// runs.
+/// Rng, with a private arena. The serial loop and the event engine call
+/// it; the sharded engine runs `propose` on a worker pool and `choose`
+/// serially in request order. Because `assign` is not virtual, the two
+/// paths cannot drift apart: the serial engine's golden masters
+/// (tests/test_determinism.cpp) lock the halves the sharded engine runs.
 
 #include <cstdint>
 #include <string>

@@ -14,14 +14,13 @@
 ///
 /// Determinism contract: one RNG stream seeded `derive_seed(seed,
 /// {0, kQueueing})` drives the whole event loop (placement comes from
-/// `{0, kPlacement}`, exactly like `run_supermarket` always did); the
+/// `{0, kPlacement}`, exactly like the historical supermarket loop); the
 /// event queue is a binary heap ordered by (time, insertion sequence), so
 /// equal-time events resolve by insertion order, never by heap internals.
 /// With the `static` policy, zero hop latency, uniform origins and a
-/// static trace, the engine replays the historical supermarket loop's draw
-/// sequence bit-for-bit — `run_supermarket` is now a shim over this
-/// engine, locked by a differential suite against the frozen reference
-/// loop (test_event_supermarket).
+/// static trace — the supermarket model of paper §VI — the engine replays
+/// that loop's draw sequence bit-for-bit, locked by a differential suite
+/// against a reference copy of the loop (test_event_supermarket).
 
 #include <cstdint>
 #include <string>
@@ -29,7 +28,6 @@
 
 #include "core/config.hpp"
 #include "event/cache_policy.hpp"
-#include "queueing/supermarket.hpp"
 #include "stats/windowed.hpp"
 #include "util/types.hpp"
 
@@ -55,9 +53,18 @@ struct DynamicConfig {
   std::uint32_t metric_windows = 8;
 };
 
-/// One dynamic run's output: the aggregate queueing estimates (shared
-/// shape with the supermarket shim) plus cache-dynamics counters and the
-/// time-windowed series.
+/// Steady-state queueing estimates from one dynamic run.
+struct QueueingResult {
+  double mean_sojourn = 0.0;    ///< mean time in system of completed jobs
+  double mean_queue = 0.0;      ///< time-average queue length per server
+  Load max_queue = 0;           ///< max instantaneous queue length observed
+  std::uint64_t completed = 0;  ///< jobs completed after warmup
+  double mean_hops = 0.0;       ///< communication cost of admitted jobs
+  double utilization = 0.0;     ///< busy-time fraction per server
+};
+
+/// One dynamic run's output: the aggregate queueing estimates plus
+/// cache-dynamics counters and the time-windowed series.
 struct DynamicResult {
   QueueingResult queueing;
 

@@ -4,9 +4,8 @@
 /// event-driven modes. Where the batch simulator's `LoadTracker` counts
 /// assignments monotonically, a queue view rises on enqueue and falls on
 /// departure, so "least loaded" means "shortest queue *right now*" — the
-/// supermarket-model semantics. Promoted from the private QueueState of
-/// the original `run_supermarket` loop so the event engine and any future
-/// queue-aware callers share one definition.
+/// supermarket-model semantics. The event engine and the supermarket
+/// reference loop in test_event_supermarket share this one definition.
 
 #include <vector>
 

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "core/simulation.hpp"
-#include "queueing/supermarket.hpp"
+#include "event/engine.hpp"
 #include "spatial/voronoi.hpp"
 #include "topology/lattice.hpp"
 #include "topology/registry.hpp"
@@ -140,16 +140,16 @@ TEST(DegenerateLattice, VoronoiOnSingleNode) {
 }
 
 TEST(DegenerateLattice, SupermarketQueueOnSingleNode) {
-  QueueingConfig config;
+  DynamicConfig config;
   config.network.topology_spec = parse_topology_spec("torus(side=1)");
   config.network.num_files = 1;
   config.network.cache_size = 1;
   config.network.strategy_spec = parse_strategy_spec("nearest");
-  config.arrival_rate = 0.5;
+  config.network.trace.arrival_rate = 0.5;
   config.service_rate = 1.0;
   config.horizon = 200.0;
   config.warmup_fraction = 0.1;
-  const QueueingResult result = run_supermarket(config, 1);
+  const QueueingResult result = run_dynamic(config, 1).queueing;
   EXPECT_GT(result.completed, 0u);
   EXPECT_EQ(result.mean_hops, 0.0);
 }
