@@ -11,7 +11,7 @@ void NearestReplicaStrategy::propose(const Request& request, Rng& rng,
                                                 rng);
   PROXCACHE_CHECK(nearest.server != kInvalidNode,
                   "request for uncached file reached the strategy; "
-                  "sanitize_trace must run first");
+                  "SanitizingTraceSource must run first");
   out.decided = true;
   out.server = nearest.server;
   out.hops = nearest.distance;

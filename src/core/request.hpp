@@ -1,21 +1,13 @@
 #pragma once
 /// \file request.hpp
-/// Request traces (paper §II-B): `m` sequential requests, each with an
-/// origin server chosen uniformly at random and a file drawn from the
-/// popularity law. Both `generate_trace` overloads delegate to the Static
-/// `TraceSource` (scenario/generators.hpp) — the single implementation of
-/// the paper-model draw sequence — and richer workloads stream from the
-/// other sources in `src/scenario/`. `sanitize` closes the uncached-file
-/// gap per the configured MissingFilePolicy.
+/// One content request (paper §II-B): an origin server and a requested
+/// file. Traces stream from the `TraceSource`s in `src/scenario/` — the
+/// paper's model (uniform origins, files i.i.d. from the popularity law) is
+/// `StaticTraceSource` — and `SanitizingTraceSource` closes the
+/// uncached-file gap per the configured MissingFilePolicy.
 
 #include <cstdint>
-#include <vector>
 
-#include "catalog/placement.hpp"
-#include "catalog/popularity.hpp"
-#include "core/config.hpp"
-#include "random/rng.hpp"
-#include "topology/topology.hpp"
 #include "util/types.hpp"
 
 namespace proxcache {
@@ -31,32 +23,5 @@ struct SanitizeStats {
   std::uint64_t resampled = 0;  ///< requests whose file was redrawn
   std::uint64_t dropped = 0;    ///< requests removed (Drop policy)
 };
-
-/// Generate `count` requests: origins uniform over `num_nodes`, files i.i.d.
-/// from `popularity` (the paper's model).
-std::vector<Request> generate_trace(std::size_t num_nodes,
-                                    const Popularity& popularity,
-                                    std::size_t count, Rng& rng);
-
-/// Generate `count` requests with a configurable origin distribution (the
-/// Hotspot extension places `hotspot_fraction` of origins uniformly inside
-/// `B_radius(center)` around the topology's central node). Files i.i.d.
-/// from `popularity`.
-std::vector<Request> generate_trace(const Topology& topology,
-                                    const OriginSpec& origins,
-                                    const Popularity& popularity,
-                                    std::size_t count, Rng& rng);
-
-/// Enforce that every request's file has >= 1 replica under `placement`,
-/// per `policy`. Resample redraws the file from `popularity` (rejection
-/// sampling over the cached subset); Drop erases offending requests; Strict
-/// throws std::runtime_error on the first offender. Throws if no file has
-/// any replica while offenders exist. Compatibility shim over the
-/// streaming `SanitizingTraceSource` decorator (scenario/trace_source.hpp),
-/// which the simulation loop uses directly without materializing a trace.
-SanitizeStats sanitize_trace(std::vector<Request>& trace,
-                             const Placement& placement,
-                             const Popularity& popularity,
-                             MissingFilePolicy policy, Rng& rng);
 
 }  // namespace proxcache

@@ -136,7 +136,7 @@ void TwoChoiceStrategy::propose(const Request& request, Rng& rng,
             index_->nearest(request.origin, request.file, rng);
         PROXCACHE_CHECK(nearest.server != kInvalidNode,
                         "uncached file reached the strategy; "
-                        "sanitize_trace must run first");
+                        "SanitizingTraceSource must run first");
         out.decided = true;
         out.server = nearest.server;
         out.hops = nearest.distance;
@@ -150,7 +150,7 @@ void TwoChoiceStrategy::propose(const Request& request, Rng& rng,
         if (found == 0 && radius >= diameter) {
           PROXCACHE_CHECK(false,
                           "uncached file reached the strategy; "
-                          "sanitize_trace must run first");
+                          "SanitizingTraceSource must run first");
         }
         break;
       }

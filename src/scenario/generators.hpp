@@ -18,9 +18,10 @@
 
 namespace proxcache {
 
-/// Samples request origins per an `OriginSpec`, reproducing the legacy
-/// `generate_trace` draw order exactly: Uniform = one `below(n)` draw;
-/// Hotspot = `bernoulli(fraction)`, then `below(|disc|)` or `below(n)`.
+/// Samples request origins per an `OriginSpec`, reproducing the
+/// pre-streaming trace generator's draw order exactly: Uniform = one
+/// `below(n)` draw; Hotspot = `bernoulli(fraction)`, then `below(|disc|)`
+/// or `below(n)`.
 class OriginModel {
  public:
   /// Uniform origins over `num_nodes` servers.
@@ -133,10 +134,10 @@ class DiurnalTraceSource final : public TraceSource {
 /// follow the supplied OriginModel. Within an epoch the file marginal is
 /// the popularity law conditioned on the online set. Caveat: the
 /// offline-file invariant holds for the *generated* trace; the later
-/// missing-file repair (`sanitize_trace`, core/request.hpp) redraws
-/// zero-replica requests from the unconditioned base law — it repairs
-/// placement gaps and knows nothing of the epoch clock, so a repaired
-/// request may land on an offline-but-cached file.
+/// missing-file repair (`SanitizingTraceSource`) redraws zero-replica
+/// requests from the unconditioned base law — it repairs placement gaps
+/// and knows nothing of the epoch clock, so a repaired request may land on
+/// an offline-but-cached file.
 class ChurnTraceSource final : public TraceSource {
  public:
   ChurnTraceSource(OriginModel origins, const Popularity& popularity,

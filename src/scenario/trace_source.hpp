@@ -6,12 +6,12 @@
 /// is a pure function of (config, run_index) regardless of which process
 /// produced it. `run_simulation` consumes a source instead of inlining
 /// origin + file sampling; the paper's model is the `Static` source
-/// (scenario/generators.hpp), which reproduces the legacy `generate_trace`
-/// draw sequence bit-for-bit.
+/// (scenario/generators.hpp), which reproduces the pre-streaming vector
+/// generator's draw sequence bit-for-bit.
 ///
 /// Sources declare marginals over the trace they *generate*. The
-/// missing-file repair that follows (`sanitize_trace`, core/request.hpp)
-/// is a placement-side fix: it redraws requests for zero-replica files
+/// missing-file repair that follows (`SanitizingTraceSource` below) is a
+/// placement-side fix: it redraws requests for zero-replica files
 /// from the base popularity law, outside the trace process — a deliberate
 /// trade to keep the seed contract (repair draws follow all generation
 /// draws on one stream), at the cost of slightly diluting a dynamic
@@ -25,6 +25,8 @@
 #include "core/config.hpp"
 #include "core/request.hpp"
 #include "random/alias_sampler.hpp"
+#include "random/rng.hpp"
+#include "topology/topology.hpp"
 
 namespace proxcache {
 
@@ -42,20 +44,20 @@ class TraceSource {
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
-/// Drain `count` requests from `source` into a vector. Compatibility shim
-/// for tests and offline trace inspection — the simulation loop streams
-/// requests one at a time (`SimulationContext::run`) and never materializes
-/// a trace.
+/// Drain `count` requests from `source` into a vector, for tests and
+/// offline trace inspection — the simulation loop streams requests one at
+/// a time (`SimulationContext::run`) and never materializes a trace.
 std::vector<Request> materialize(TraceSource& source, std::size_t count,
                                  Rng& rng);
 
 /// Streaming decorator over a `TraceSource`: applies the missing-file
-/// policies of `sanitize_trace` (core/request.hpp) one request at a time,
-/// so the trace never exists in memory. Draws up to `horizon` requests
-/// from `inner`, and per request either passes it through (file cached),
-/// redraws its file (Resample), silently skips it (Drop, counted), or
-/// throws (Strict) — exactly the per-request behavior of the materialized
-/// sanitize pass, in the same order.
+/// policies (`MissingFilePolicy`) one request at a time, so the trace
+/// never exists in memory. Draws up to `horizon` requests from `inner`,
+/// and per request either passes it through (file cached), redraws its
+/// file from the popularity law restricted to cached files (Resample),
+/// silently skips it (Drop, counted), or throws std::runtime_error
+/// (Strict) — exactly the per-request behavior of the pre-streaming
+/// materialized sanitize pass, in the same order.
 ///
 /// Draw-order contract (bit-compatibility with the materialized pipeline):
 /// generation draws come from the rng passed to `try_next`; Resample repair

@@ -45,7 +45,7 @@ void LeastLoadedStrategy::propose(const Request& request, Rng& rng,
             index_->nearest(request.origin, request.file, rng);
         PROXCACHE_CHECK(nearest.server != kInvalidNode,
                         "uncached file reached the strategy; "
-                        "sanitize_trace must run first");
+                        "SanitizingTraceSource must run first");
         out.decided = true;
         out.server = nearest.server;
         out.hops = nearest.distance;
@@ -57,7 +57,7 @@ void LeastLoadedStrategy::propose(const Request& request, Rng& rng,
         // result can only mean an uncached file slipped past sanitize.
         PROXCACHE_CHECK(radius < diameter,
                         "uncached file reached the strategy; "
-                        "sanitize_trace must run first");
+                        "SanitizingTraceSource must run first");
         radius = next_fallback_radius(radius, diameter);
         break;
       }

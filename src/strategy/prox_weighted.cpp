@@ -76,7 +76,7 @@ void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
   out.count = static_cast<std::uint32_t>(arena.size()) - out.first;
   PROXCACHE_CHECK(out.count > 0,
                   "uncached file reached the strategy; "
-                  "sanitize_trace must run first");
+                  "SanitizingTraceSource must run first");
   out.total_weight = total;
 }
 

@@ -136,7 +136,7 @@ void CrossTwoChoiceStrategy::propose(const Request& request, Rng& rng,
   const auto all = scopes_.placement().replicas(request.file);
   PROXCACHE_CHECK(!all.empty(),
                   "uncached file reached the strategy; "
-                  "sanitize_trace must run first");
+                  "SanitizingTraceSource must run first");
   const ProposedCandidate nearest = scopes_.nearest_in(request.origin, all);
   out.decided = true;
   out.fallback = true;
@@ -180,7 +180,7 @@ void FrontFirstStrategy::propose(const Request& request, Rng& rng,
     slice = scopes_.placement().replicas(request.file);
     PROXCACHE_CHECK(!slice.empty(),
                     "uncached file reached the strategy; "
-                    "sanitize_trace must run first");
+                    "SanitizingTraceSource must run first");
     out.fallback = true;
   }
   const ProposedCandidate hit = scopes_.nearest_in(request.origin, slice);
@@ -255,7 +255,7 @@ void CrossProxWeightedStrategy::propose(const Request& request, Rng& rng,
     const auto all = scopes_.placement().replicas(request.file);
     PROXCACHE_CHECK(!all.empty(),
                     "uncached file reached the strategy; "
-                    "sanitize_trace must run first");
+                    "SanitizingTraceSource must run first");
     const ProposedCandidate nearest = scopes_.nearest_in(request.origin, all);
     out.decided = true;
     out.fallback = true;

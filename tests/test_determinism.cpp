@@ -308,7 +308,7 @@ TEST(Determinism, ShardedSeedContractGoldenMaster) {
 
 // Golden master for the Hotspot origin draw order (bernoulli, then disc or
 // uniform draw): these values were produced by the pre-TraceSource
-// `generate_trace` at the same seed and must never change. Uniform
+// vector trace generator at the same seed and must never change. Uniform
 // popularity keeps every quantity integer-derived and platform-portable.
 TEST(Determinism, HotspotSeedContractGoldenMaster) {
   ExperimentConfig config;

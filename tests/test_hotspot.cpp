@@ -3,21 +3,31 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "core/request.hpp"
+#include "scenario/generators.hpp"
 #include "topology/shells.hpp"
 
 namespace proxcache {
 namespace {
+
+/// `count` requests of the paper's trace process with `origins` on
+/// `topology`, files i.i.d. from `popularity`.
+std::vector<Request> static_trace(const Topology& topology,
+                                  const OriginSpec& origins,
+                                  const Popularity& popularity,
+                                  std::size_t count, Rng& rng) {
+  StaticTraceSource source(topology, origins, popularity);
+  return materialize(source, count, rng);
+}
 
 TEST(HotspotTrace, UniformKindDelegates) {
   const Lattice lattice(10, Wrap::Torus);
   OriginSpec origins;  // Uniform
   Rng rng_a(5);
   Rng rng_b(5);
-  const auto mixture = generate_trace(lattice, origins,
-                                      Popularity::uniform(4), 200, rng_a);
-  const auto plain =
-      generate_trace(lattice.size(), Popularity::uniform(4), 200, rng_b);
+  const auto mixture = static_trace(lattice, origins,
+                                    Popularity::uniform(4), 200, rng_a);
+  StaticTraceSource uniform(lattice.size(), Popularity::uniform(4));
+  const auto plain = materialize(uniform, 200, rng_b);
   ASSERT_EQ(mixture.size(), plain.size());
   for (std::size_t i = 0; i < mixture.size(); ++i) {
     EXPECT_EQ(mixture[i].origin, plain[i].origin);
@@ -33,8 +43,8 @@ TEST(HotspotTrace, FullFractionStaysInsideDisc) {
   origins.hotspot_radius = 3;
   const NodeId center = lattice.node(Point{7, 7});
   Rng rng(9);
-  const auto trace = generate_trace(lattice, origins,
-                                    Popularity::uniform(5), 2000, rng);
+  const auto trace = static_trace(lattice, origins,
+                                  Popularity::uniform(5), 2000, rng);
   for (const Request& request : trace) {
     EXPECT_LE(lattice.distance(request.origin, center), 3u);
   }
@@ -52,7 +62,7 @@ TEST(HotspotTrace, FractionControlsTheMixture) {
   Rng rng(11);
   const std::size_t count = 40000;
   const auto trace =
-      generate_trace(lattice, origins, Popularity::uniform(5), count, rng);
+      static_trace(lattice, origins, Popularity::uniform(5), count, rng);
   std::size_t inside = 0;
   for (const Request& request : trace) {
     if (lattice.distance(request.origin, center) <= 2) ++inside;
@@ -71,8 +81,8 @@ TEST(HotspotTrace, ZeroFractionIsUniform) {
   origins.hotspot_fraction = 0.0;
   origins.hotspot_radius = 1;
   Rng rng(13);
-  const auto trace = generate_trace(lattice, origins,
-                                    Popularity::uniform(3), 20000, rng);
+  const auto trace = static_trace(lattice, origins,
+                                  Popularity::uniform(3), 20000, rng);
   // All nodes should appear with roughly uniform frequency.
   std::vector<int> counts(lattice.size(), 0);
   for (const Request& request : trace) ++counts[request.origin];
@@ -89,7 +99,7 @@ TEST(HotspotTrace, RejectsBadFraction) {
   origins.hotspot_fraction = 1.5;
   Rng rng(1);
   EXPECT_THROW(
-      generate_trace(lattice, origins, Popularity::uniform(2), 10, rng),
+      static_trace(lattice, origins, Popularity::uniform(2), 10, rng),
       std::invalid_argument);
 }
 

@@ -34,9 +34,9 @@ namespace {
 constexpr double kInfParam = std::numeric_limits<double>::infinity();
 
 /// The pre-refactor vector-based sanitize pass, inlined verbatim so the
-/// reference pipeline stays independent of SanitizingTraceSource (which
-/// the library's sanitize_trace is now a shim over — calling it here would
-/// make the equivalence sweep circular).
+/// reference pipeline stays independent of SanitizingTraceSource, the
+/// streaming decorator under test (calling it here would make the
+/// equivalence sweep circular).
 SanitizeStats sanitize_trace_reference(std::vector<Request>& trace,
                                        const Placement& placement,
                                        const Popularity& popularity,

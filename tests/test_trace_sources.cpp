@@ -24,45 +24,6 @@ TEST(Materialize, ProducesRequestedCount) {
   EXPECT_EQ(trace.size(), 137u);
 }
 
-// Note: generate_trace delegates to StaticTraceSource, so the two
-// "MatchesLegacy" tests below only guard the delegation wiring (fresh
-// source per call, no state leaking between requests) — the actual draw
-// *sequence* is locked by the seed-contract golden masters in
-// tests/test_determinism.cpp, which pin pre-refactor numeric outputs.
-TEST(StaticSource, MatchesLegacyGenerateTraceUniform) {
-  const Popularity popularity = Popularity::zipf(12, 0.9);
-  Rng legacy_rng(77);
-  const auto legacy = generate_trace(100, popularity, 400, legacy_rng);
-  StaticTraceSource source(100, popularity);
-  Rng rng(77);
-  const auto streamed = materialize(source, 400, rng);
-  ASSERT_EQ(legacy.size(), streamed.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].origin, streamed[i].origin);
-    EXPECT_EQ(legacy[i].file, streamed[i].file);
-  }
-}
-
-TEST(StaticSource, MatchesLegacyGenerateTraceHotspot) {
-  const Lattice lattice = test_lattice();
-  OriginSpec origins;
-  origins.kind = OriginKind::Hotspot;
-  origins.hotspot_fraction = 0.7;
-  origins.hotspot_radius = 2;
-  const Popularity popularity = Popularity::uniform(9);
-  Rng legacy_rng(5);
-  const auto legacy = generate_trace(lattice, origins, popularity, 300,
-                                     legacy_rng);
-  StaticTraceSource source(lattice, origins, popularity);
-  Rng rng(5);
-  const auto streamed = materialize(source, 300, rng);
-  ASSERT_EQ(legacy.size(), streamed.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].origin, streamed[i].origin);
-    EXPECT_EQ(legacy[i].file, streamed[i].file);
-  }
-}
-
 TEST(FlashCrowdSource, PulseIsZeroOutsideWindowAndPeaksAtMidpoint) {
   TraceSpec spec;
   spec.kind = TraceKind::FlashCrowd;
