@@ -8,6 +8,7 @@
 //
 //   $ ./cdn_simulation --n 2025 --files 1000 --cache 20 --gamma 0.8 --target-load 5
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -39,13 +40,19 @@ int main(int argc, char** argv) {
   }
 
   ExperimentConfig config;
-  config.topology_spec = topology_spec_from_lattice(
-      static_cast<std::size_t>(args.get_int("n")), Wrap::Torus);
-  config.num_files = static_cast<std::size_t>(args.get_int("files"));
-  config.cache_size = static_cast<std::size_t>(args.get_int("cache"));
-  config.popularity.kind = PopularityKind::Zipf;
-  config.popularity.gamma = args.get_double("gamma");
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  try {
+    config.topology_spec = topology_spec_from_lattice(
+        static_cast<std::size_t>(args.get_int("n")), Wrap::Torus);
+    config.num_files = static_cast<std::size_t>(args.get_int("files"));
+    config.cache_size = static_cast<std::size_t>(args.get_int("cache"));
+    config.popularity.kind = PopularityKind::Zipf;
+    config.popularity.gamma = args.get_double("gamma");
+    config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    config.validate();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << error.what() << "\n";
+    return 2;
+  }
   const auto runs = static_cast<std::size_t>(args.get_int("runs"));
   const auto target = static_cast<double>(args.get_int("target-load"));
 

@@ -21,7 +21,6 @@
 // same command reproduces every figure bit-for-bit.
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
                 "also insert missed files at the request's origin when the "
                 "response arrives");
   args.add_int("windows", 8, "time windows for the metric series", 1,
-               std::numeric_limits<std::uint32_t>::max());
+               kMaxMetricWindows);
   args.add_flag("list",
                 "print the registered scenarios, strategies, topologies, "
                 "cache policies and tier presets, then exit");

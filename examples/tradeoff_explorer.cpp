@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -46,14 +48,25 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<std::size_t>(args.get_int("n"));
   ExperimentConfig config;
-  config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
-  config.num_files = static_cast<std::size_t>(args.get_int("files"));
-  config.cache_size = static_cast<std::size_t>(args.get_int("cache"));
-  config.popularity.kind = args.get_string("popularity") == "zipf"
-                               ? PopularityKind::Zipf
-                               : PopularityKind::Uniform;
-  config.popularity.gamma = args.get_double("gamma");
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  try {
+    config.topology_spec = topology_spec_from_lattice(n, Wrap::Torus);
+    config.num_files = static_cast<std::size_t>(args.get_int("files"));
+    config.cache_size = static_cast<std::size_t>(args.get_int("cache"));
+    const std::string popularity = args.get_string("popularity");
+    if (popularity != "uniform" && popularity != "zipf") {
+      throw std::invalid_argument(
+          "--popularity must be 'uniform' or 'zipf', got '" + popularity +
+          "'");
+    }
+    config.popularity.kind = popularity == "zipf" ? PopularityKind::Zipf
+                                                  : PopularityKind::Uniform;
+    config.popularity.gamma = args.get_double("gamma");
+    config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    config.validate();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << error.what() << "\n";
+    return 2;
+  }
   const auto runs = static_cast<std::size_t>(args.get_int("runs"));
 
   const Lattice lattice = Lattice::from_node_count(n, Wrap::Torus);

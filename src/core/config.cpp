@@ -6,6 +6,7 @@
 #include "strategy/registry.hpp"
 #include "topology/registry.hpp"
 #include "util/contracts.hpp"
+#include "util/kvspec.hpp"
 
 namespace proxcache {
 
@@ -93,7 +94,9 @@ void ExperimentConfig::validate() const {
                           "back=ring(n=64), origin=1)");
   }
   if (popularity.kind == PopularityKind::Zipf) {
-    PROXCACHE_REQUIRE(popularity.gamma >= 0.0, "zipf gamma must be >= 0");
+    PROXCACHE_REQUIRE(popularity.gamma >= 0.0,
+                      "zipf gamma must be >= 0, got " +
+                          format_spec_number(popularity.gamma));
   }
 
   // Demand-disc radii are bounded by the lattice side on lattice

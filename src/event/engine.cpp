@@ -64,8 +64,11 @@ DynamicResult run_dynamic(const DynamicConfig& config, std::uint64_t seed) {
       config.warmup_fraction >= 0.0 && config.warmup_fraction < 1.0,
       "warmup fraction must be in [0, 1)");
   PROXCACHE_REQUIRE(config.hop_latency >= 0.0, "hop latency must be >= 0");
-  PROXCACHE_REQUIRE(config.metric_windows >= 1,
-                    "metric windows must be >= 1");
+  PROXCACHE_REQUIRE(config.metric_windows >= 1 &&
+                        config.metric_windows <= kMaxMetricWindows,
+                    "metric windows must be in [1, " +
+                        std::to_string(kMaxMetricWindows) + "], got " +
+                        std::to_string(config.metric_windows));
 
   const auto& net = config.network;
   const std::shared_ptr<const Topology> topology = materialize_topology(net);

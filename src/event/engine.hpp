@@ -33,6 +33,11 @@
 
 namespace proxcache {
 
+/// Largest accepted `DynamicConfig::metric_windows`. The windowed collector
+/// sizes its per-window series (~100 B a window) before the first event,
+/// so the count is bounded to what memory can meet.
+inline constexpr std::uint32_t kMaxMetricWindows = 65536;
+
 /// Dynamic experiment description. The network model (topology, library,
 /// placement, strategy, origins, trace process) comes from
 /// `ExperimentConfig`; arrivals are timed by `network.trace.arrival_rate`.
@@ -49,7 +54,8 @@ struct DynamicConfig {
   /// Also insert a missed file at the request's origin when the response
   /// arrives there (no-op under `static`, or when origin == server).
   bool cache_on_path = false;
-  /// Time windows for the windowed metric series (>= 1).
+  /// Time windows for the windowed metric series, in
+  /// [1, kMaxMetricWindows].
   std::uint32_t metric_windows = 8;
 };
 

@@ -41,6 +41,15 @@ TEST(EventEngine, ValidatesParameters) {
   config.metric_windows = 0;
   EXPECT_THROW(run_dynamic(config, 1), std::invalid_argument);
 
+  // The window count is capped before the collector sizes its series; the
+  // cap itself runs.
+  config = base_config();
+  config.metric_windows = kMaxMetricWindows + 1;
+  EXPECT_THROW(run_dynamic(config, 1), std::invalid_argument);
+  config.metric_windows = kMaxMetricWindows;
+  config.horizon = 1.0;
+  EXPECT_EQ(run_dynamic(config, 1).windows.size(), kMaxMetricWindows);
+
   config = base_config();
   config.cache_policy = parse_cache_policy_spec("bogus");
   EXPECT_THROW(run_dynamic(config, 1), std::invalid_argument);
