@@ -18,15 +18,6 @@ bool is_lattice_spec(const TopologySpec& spec) {
   return spec.name == "torus" || spec.name == "grid";
 }
 
-/// The paper's network, 2025 servers on a torus: what a config that names
-/// no topology runs on.
-TopologySpec default_topology() {
-  TopologySpec spec;
-  spec.name = "torus";
-  spec.params["side"] = 45.0;
-  return spec;
-}
-
 }  // namespace
 
 TopologySpec ExperimentConfig::resolved_topology() const {
@@ -34,7 +25,9 @@ TopologySpec ExperimentConfig::resolved_topology() const {
                     "a tiered config has no single registry topology; "
                     "materialize it through tier/materialize.hpp");
   if (!tier_spec.empty()) return tier_spec.levels.front().topology;
-  return topology_spec.empty() ? default_topology() : topology_spec;
+  // No topology named: the paper's network, 2025 servers on a torus.
+  return topology_spec.empty() ? topology_spec_from_lattice(2025, Wrap::Torus)
+                               : topology_spec;
 }
 
 std::size_t ExperimentConfig::resolved_nodes() const {
