@@ -153,7 +153,8 @@ int main(int argc, char** argv) {
   // Every spec is validated up front so a typo in the fourth strategy
   // fails before hours of simulation, not after; duplicates collapse to
   // one matrix row, like scenarios above. The sentinel 'default' topology
-  // stands for "the preset's legacy lattice knobs" (empty TopologySpec).
+  // stands for the preset's own network (empty TopologySpec), or the
+  // --n lattice when --n is given.
   std::vector<StrategySpec> specs;
   std::vector<TopologySpec> topology_specs;
   try {

@@ -6,7 +6,7 @@
 /// current loads) and the metrics sink: per-server assignment counts `T_i`,
 /// the running maximum load `L = max_i T_i`, and the cumulative hop count
 /// whose mean over requests is the communication cost `C`. It is the only
-/// state the streaming request loop accumulates — O(num_nodes), never
+/// state the streaming request loop accumulates — O(n), never
 /// O(trace length) — which is what keeps `SimulationContext::run` in
 /// constant space at any request volume.
 

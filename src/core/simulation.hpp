@@ -7,7 +7,7 @@
 /// `derive_seed(config.seed, {run_index, phase})`.
 ///
 /// The request loop *streams*: requests are drawn, sanitized, and assigned
-/// one at a time, so peak memory is O(num_nodes) regardless of
+/// one at a time, so peak memory is O(n) regardless of
 /// `effective_requests()` — traces of tens of millions of requests run in
 /// constant space. `SimulationContext` factors out the per-config state
 /// (lattice, materialized popularity) so replications share it instead of

@@ -2,7 +2,7 @@
 /// \file memory.hpp
 /// Process memory introspection: peak resident set size, reported by
 /// perfbench's `peak_rss_mb` (where `torus-stream` shows that the streaming
-/// request loop runs in O(num_nodes) space regardless of trace length) and
+/// request loop runs in O(n) space regardless of trace length) and
 /// checked by `scenario_runner --max-rss-mb`.
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 // end-to-end effect on the two strategies.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "scenario/generators.hpp"
 #include "topology/shells.hpp"

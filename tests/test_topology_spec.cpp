@@ -1,7 +1,7 @@
 // Topology spec grammar (topology/spec.hpp): identical tolerance and
 // round-trip behavior to the strategy grammar it mirrors (both ride on
-// util/kvspec.hpp), plus the tolerant wrap_from_string parser that the
-// legacy lattice knobs use.
+// util/kvspec.hpp), plus the tolerant wrap_from_string parser of lattice
+// wrap names.
 #include "topology/spec.hpp"
 
 #include <gtest/gtest.h>
@@ -71,7 +71,7 @@ TEST(TopologySpec, RejectsMalformedInputWithPreciseMessages) {
 }
 
 // ---------------------------------------------------------------------------
-// wrap_from_string: the legacy lattice-knob parser must be exactly as
+// wrap_from_string: the wrap-name parser must be exactly as
 // tolerant as the spec grammar (bugfix: it used to be case-sensitive and
 // whitespace-intolerant while every spec string was not).
 // ---------------------------------------------------------------------------
