@@ -68,8 +68,10 @@ class RunHarness {
   Rng repair_rng;
   std::unique_ptr<TraceSource> source;
   SanitizingTraceSource sanitized;
-  ReplicaIndex index;
   StrategySpec spec;  ///< resolved strategy spec, registry defaults filled
+  /// Bucket grids only when the strategy queries a radius below the
+  /// diameter (`bucket_threshold`, strategy/registry.hpp).
+  ReplicaIndex index;
   std::unique_ptr<Strategy> strategy;
   Rng strategy_rng;  ///< the serial engine's sequential strategy stream
   LoadTracker tracker;

@@ -82,7 +82,6 @@ DynamicResult run_dynamic(const DynamicConfig& config, std::uint64_t seed) {
   seeded.seed = seed;
   const Placement placement =
       materialize_placement(seeded, *topology, popularity, /*run_index=*/0);
-  const ReplicaIndex index(*topology, placement);
   const TieredTopology* tiered = topology->as_tiered();
 
   // Strategies see live queue lengths, so a stale-information request
@@ -95,6 +94,8 @@ DynamicResult run_dynamic(const DynamicConfig& config, std::uint64_t seed) {
                     "the queueing model compares live queue lengths; "
                     "'stale' is a batch-simulator parameter (drop it or set "
                     "stale=1)");
+  const ReplicaIndex index(*topology, placement,
+                           bucket_threshold(spec, *topology, registry));
   const std::unique_ptr<Strategy> strategy =
       registry.at(spec.name).factory(spec, index, *topology, net);
 
@@ -305,9 +306,9 @@ DynamicResult run_dynamic(const DynamicConfig& config, std::uint64_t seed) {
           Hop fetch = topology->diameter();  // no replica: worst case
           bool from_origin = tiered != nullptr;
           if (tiered == nullptr) {
-            for (const NodeId holder : cache.replicas(job.file)) {
-              fetch = std::min(fetch, topology->distance(server, holder));
-            }
+            fetch = std::min(fetch, detail::min_distance_from(
+                                        *topology, server,
+                                        cache.replicas(job.file)));
           } else {
             // Walk *down* the hierarchy: the server's own cluster first
             // (local peers are the cheap fetch), then each deeper tier,
@@ -319,14 +320,11 @@ DynamicResult run_dynamic(const DynamicConfig& config, std::uint64_t seed) {
             const auto holders = cache.replicas(job.file);
             const auto nearest_between =
                 [&](NodeId lo, NodeId hi) -> Hop {
-              Hop best = kUnboundedRadius;
               const auto first =
                   std::lower_bound(holders.begin(), holders.end(), lo);
               const auto last = std::lower_bound(first, holders.end(), hi);
-              for (auto it = first; it != last; ++it) {
-                best = std::min(best, topology->distance(server, *it));
-              }
-              return best;
+              return detail::min_distance_from(*topology, server,
+                                               {first, last});
             };
             const TierLevel& own = set.levels()[loc.tier];
             const NodeId cluster_base =

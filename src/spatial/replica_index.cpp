@@ -88,50 +88,101 @@ NearestResult ReplicaIndex::nearest_by_shells(NodeId u, FileId j,
   return result;  // no replica anywhere
 }
 
+/// The walk makes no draw before shell d*, so a pass that finds d* and the
+/// replicas on it needs no Rng. `count` counts every tie; `members` keeps
+/// the first kReplayTies of them.
+struct ReplicaIndex::ShellTies {
+  Hop best = kUnboundedRadius;
+  std::size_t count = 0;
+  NodeId members[kReplayTies] = {};
+
+  void offer(NodeId v, Hop d) {
+    if (d > best) return;
+    if (d < best) {
+      best = d;
+      count = 0;
+    }
+    if (count < kReplayTies) members[count] = v;
+    ++count;
+  }
+};
+
+NearestResult ReplicaIndex::replay_walk(NodeId u, FileId j,
+                                        const ShellTies& ties,
+                                        Rng& rng) const {
+  if (ties.count > kReplayTies) return nearest_by_shells(u, j, rng);
+
+  // The walk's draws: one offer per member of shell d*, in enumeration
+  // order. A single member needs no order.
+  ReservoirOne reservoir(rng);
+  if (ties.count == 1) {
+    reservoir.offer(ties.members[0]);
+  } else {
+    const std::span<const NodeId> members(ties.members, ties.count);
+    for_each_at_distance(*lattice_, u, ties.best, [&](NodeId v) {
+      if (std::find(members.begin(), members.end(), v) != members.end()) {
+        reservoir.offer(v);
+      }
+    });
+  }
+  PROXCACHE_CHECK(reservoir.count() == ties.count,
+                  "shell replay missed a tie of its pass");
+  NearestResult result;
+  result.server = *reservoir.value();
+  result.distance = ties.best;
+  result.ties = static_cast<std::uint32_t>(ties.count);
+  return result;
+}
+
 NearestResult ReplicaIndex::nearest_by_replay(NodeId u, FileId j,
                                               Rng& rng) const {
   if (lattice_ == nullptr) return nearest_by_shells(u, j, rng);
   const auto list = placement_->replicas(j);
   if (list.empty()) return NearestResult{};  // the walk draws nothing either
 
-  // Draw-free pass: the first non-empty shell d* and its members. The walk
-  // makes no draw before d*, so nothing here has to be replayed.
-  NodeId ties[kReplayTies];
-  std::size_t count = 0;
-  Hop best = kUnboundedRadius;
+  ShellTies ties;
   const auto distance = detail::distances_from(*lattice_, u);
-  for (const NodeId v : list) {
-    const Hop d = distance(v);
-    if (d > best) continue;
-    if (d < best) {
-      best = d;
-      count = 0;
-    }
-    if (count < kReplayTies) ties[count] = v;
-    ++count;
-  }
-  if (count > kReplayTies) return nearest_by_shells(u, j, rng);
+  for (const NodeId v : list) ties.offer(v, distance(v));
+  return replay_walk(u, j, ties, rng);
+}
 
-  // The walk's draws: one offer per member of shell d*, in enumeration
-  // order. A single member needs no order.
-  ReservoirOne reservoir(rng);
-  if (count == 1) {
-    reservoir.offer(ties[0]);
-  } else {
-    const std::span<const NodeId> members(ties, count);
-    for_each_at_distance(*lattice_, u, best, [&](NodeId v) {
-      if (std::find(members.begin(), members.end(), v) != members.end()) {
-        reservoir.offer(v);
-      }
-    });
+NearestResult ReplicaIndex::nearest_by_rows(NodeId u, FileId j,
+                                            Rng& rng) const {
+  if (lattice_ == nullptr) return nearest_by_shells(u, j, rng);
+  const auto list = placement_->replicas(j);
+  if (list.empty()) return NearestResult{};
+
+  // Ids are row-major (y·side + x) and the list is sorted, so row y's
+  // replicas are the run [y·side, (y+1)·side) of it. A replica in a row at
+  // row distance k is at least k away, so once k passes the best distance
+  // no later row can hold a tie.
+  ShellTies ties;
+  const auto distance = detail::distances_from(*lattice_, u);
+  const std::int32_t side = lattice_->side();
+  const auto scan_row = [&](std::int32_t y) {
+    const auto row = static_cast<NodeId>(y) * static_cast<NodeId>(side);
+    const auto first = std::lower_bound(list.begin(), list.end(), row);
+    const auto last = std::lower_bound(
+        first, list.end(), row + static_cast<NodeId>(side));
+    for (auto it = first; it != last; ++it) ties.offer(*it, distance(*it));
+  };
+  // The rows at row distance k are y0 ± k: wrapped on the torus, where the
+  // two coincide at k = 0 and k = side/2; clipped to [0, side) on the grid.
+  const bool torus = lattice_->wrap() == Wrap::Torus;
+  const std::int32_t y0 = lattice_->coord(u).y;
+  const std::int32_t last_k = torus ? side / 2 : std::max(y0, side - 1 - y0);
+  for (std::int32_t k = 0; k <= last_k && static_cast<Hop>(k) <= ties.best;
+       ++k) {
+    std::int32_t up = y0 + k;
+    std::int32_t down = y0 - k;
+    if (torus) {
+      up %= side;
+      down = (down + side) % side;
+    }
+    if (up < side) scan_row(up);
+    if (down != up && down >= 0) scan_row(down);
   }
-  PROXCACHE_CHECK(reservoir.count() == count,
-                  "shell replay missed a tie of the list scan");
-  NearestResult result;
-  result.server = *reservoir.value();
-  result.distance = best;
-  result.ties = static_cast<std::uint32_t>(count);
-  return result;
+  return replay_walk(u, j, ties, rng);
 }
 
 NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
@@ -141,15 +192,18 @@ NearestResult ReplicaIndex::nearest(NodeId u, FileId j, Rng& rng) const {
   // ~n/|S_j| nodes before the first hit. Crossover at |S_j|² ≈ n — but
   // only where shells enumerate directly; on scan-based topologies every
   // shell is itself O(n), so the list scan always wins there. Past the
-  // crossover the lattice replays the walk's draws from a list scan while
-  // that scan is still the cheaper pass (kReplayDensity).
+  // crossover the lattice replays the walk's draws: from a list scan while
+  // that scan is still the cheaper pass (kReplayDensity), then from the
+  // rows around the origin while the walk still has many nodes to visit
+  // (kRowReplaySpacing).
   const std::size_t n = topology_->size();
   const std::size_t density = replicas * replicas;
   if (density <= n || !topology_->directly_enumerates_shells()) {
     return nearest_by_scan(u, j, rng);
   }
-  if (lattice_ != nullptr && density <= kReplayDensity * n) {
-    return nearest_by_replay(u, j, rng);
+  if (lattice_ != nullptr) {
+    if (density <= kReplayDensity * n) return nearest_by_replay(u, j, rng);
+    if (replicas * kRowReplaySpacing <= n) return nearest_by_rows(u, j, rng);
   }
   return nearest_by_shells(u, j, rng);
 }

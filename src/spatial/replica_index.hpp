@@ -5,7 +5,7 @@
 /// query layer all allocation strategies are built on, and it works over
 /// any `Topology` (topology/topology.hpp).
 ///
-/// Three paths answer nearest-replica queries, all exact:
+/// Four paths answer nearest-replica queries, all exact:
 ///
 ///  * **replica-list scan** — O(|S_j|): walk the file's replica list,
 ///    tracking the minimum distance (reservoir-sampled among ties, the
@@ -14,29 +14,37 @@
 ///    distance around the requester until the first shell d* containing a
 ///    replica, testing every node with `Placement::caches` (a binary
 ///    search), and finish that shell for ties;
-///  * **shell replay** (lattices only) — O(|S_j|): the walk's exact draws
+///  * **list replay** (lattices only) — O(|S_j|): the walk's exact draws
 ///    from one list scan. The walk draws only in shell d*: one
 ///    `ReservoirOne::offer` per replica there, in `for_each_at_distance`
 ///    order. A draw-free list scan finds d* and its tie set; the replay then
 ///    offers a single tie directly, or walks shell d* alone and offers the
 ///    tie-set members in enumeration order. Same server, distance, tie count
 ///    and Rng state as the walk. A tie set larger than the scan's stack
-///    buffer falls back to the walk.
+///    buffer falls back to the walk;
+///  * **row replay** (lattices only) — O(d*·log|S_j| + replicas in the
+///    rows within d*): the same replay with a cheaper draw-free pass. Ids
+///    are row-major and the replica list is sorted, so the replicas of one
+///    lattice row are one contiguous run of it; the pass scans the rows at
+///    row distance 0, 1, 2, … from the origin and stops once the row
+///    distance exceeds the best distance found.
 ///
 /// `nearest()` picks by density. `|S_j|² <= n`: the list scan (its draws
 /// differ from the walk's, and the golden masters lock that choice). Above
-/// that, on lattices, the replay up to `|S_j|² <= kReplayDensity·n`, where
-/// its ~|S_j| distance evaluations still undercut the walk's ~n/|S_j|
-/// binary searches; denser files walk. Topologies without direct shell
-/// enumeration always scan. Tests cross-validate the paths, the replay
-/// against the walk draw for draw. Radius streams use the replica list or a
-/// per-file bucket grid (built for files with large `|S_j|` — lattice
-/// topologies only; the grid is a coordinate structure).
+/// that, on lattices, the list replay up to `|S_j|² <= kReplayDensity·n`,
+/// then the row replay while the walk would visit many nodes before its
+/// first hit (`|S_j| <= n / kRowReplaySpacing`); denser files walk.
+/// Topologies without direct shell enumeration always scan. Tests
+/// cross-validate the paths, both replays against the walk draw for draw.
+/// Radius streams use the replica list or a per-file bucket grid (built for
+/// files with large `|S_j|` — lattice topologies only; the grid is a
+/// coordinate structure).
 ///
 /// On lattices every scan resolves the origin's coordinate once
 /// (`Lattice::distance_from`), so each replica costs one coordinate
 /// division.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -74,17 +82,37 @@ inline auto distances_from(const Topology& topology, NodeId u) {
   return [&topology, u](NodeId v) { return topology.distance(u, v); };
 }
 
+/// Smallest distance from `u` to a node of `nodes` (`kUnboundedRadius` when
+/// empty), through the lattice kernel on lattices. A minimum does not
+/// depend on the visiting order, so either kernel gives the same answer.
+inline Hop min_distance_from(const Topology& topology, NodeId u,
+                             std::span<const NodeId> nodes) {
+  const auto min_over = [nodes](const auto& distance) {
+    Hop best = kUnboundedRadius;
+    for (const NodeId v : nodes) best = std::min(best, distance(v));
+    return best;
+  };
+  if (const Lattice* lattice = topology.as_lattice()) {
+    return min_over(distances_from(*lattice, u));
+  }
+  return min_over(distances_from(topology, u));
+}
+
 }  // namespace detail
 
 /// Spatial query index bound to one (topology, placement) pair. Holds
 /// references; the topology and placement must outlive the index.
 class ReplicaIndex {
  public:
+  /// Replica count from which a lattice file gets a bucket grid, unless
+  /// the run asks for none.
+  static constexpr std::size_t kBucketThreshold = 512;
+
   /// Build the index. On lattice topologies, files with at least
   /// `bucket_threshold` replicas get a bucket grid for radius queries
   /// (0 disables bucket grids; non-lattice topologies never build them).
   ReplicaIndex(const Topology& topology, const Placement& placement,
-               std::size_t bucket_threshold = 512);
+               std::size_t bucket_threshold = kBucketThreshold);
 
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   [[nodiscard]] const Placement& placement() const { return *placement_; }
@@ -104,16 +132,33 @@ class ReplicaIndex {
   /// `nearest_by_shells` in every field and in the Rng state it leaves.
   NearestResult nearest_by_replay(NodeId u, FileId j, Rng& rng) const;
 
-  /// `nearest()` replays the walk for lattice files with
-  /// `n < |S_j|² <= kReplayDensity·n` and walks denser ones. Measured per
-  /// query on a 4-core Xeon (tori of side 45, 100 and 150, uniform
-  /// placement and origins): the walk overtakes the replay at
-  /// |S_j|² ≈ 6–8n with M = 2, ≈ 9–10n with M = 5 and past 11n with
-  /// M = 10, where each `caches` probe costs more. At |S_j|² ∈ (5n, 6n]
-  /// the replay still won every configuration, by 10% or more.
+  /// The same replay, found from the rows nearest the origin's row instead
+  /// of the whole list. Equal to `nearest_by_shells` in the same way.
+  NearestResult nearest_by_rows(NodeId u, FileId j, Rng& rng) const;
+
+  /// `nearest()` takes the list replay for lattice files with
+  /// `n < |S_j|² <= kReplayDensity·n`. Measured per query on a 4-core Xeon
+  /// (tori of side 45, 100 and 150, M = 10 and 100, Zipf(0.8) placements,
+  /// uniform origins): at |S_j|² ∈ (2n, 3n] the list replay is 1.2–1.6×
+  /// faster than the row replay; the two cross at |S_j|² ≈ 4–6n, and past
+  /// 6n the rows won 4 of 5 configurations.
   static constexpr std::size_t kReplayDensity = 6;
 
-  /// Largest tie set the replay holds in its stack buffer (the index is
+  /// Past the list replay's band, `nearest()` takes the row replay for
+  /// lattice files with `|S_j| <= n / kRowReplaySpacing` (the walk expects
+  /// at least that many nodes before its first hit) and walks denser ones.
+  /// Measured as above: the rows overtake the walk at n/|S_j| ≈ 6 with
+  /// M = 100, and at ≈ 10, 17 and 22 with M = 10 on sides 45, 100 and 150,
+  /// since each `caches` probe is cheaper at small M and each row longer
+  /// at large side. At n/|S_j| ≥ 16 the rows won or tied everywhere but
+  /// side 150 with M = 10 below 22, where they cost up to ~23% more; at
+  /// M = 100, n/|S_j| ≈ 20 on sides 100 and 150 they take 1.4–2.0 µs
+  /// against the walk's 3.1–4.2 µs. Below 16 the walk is kept, so the
+  /// hottest files of a Zipf catalog (n/|S_j| ≈ 2) walk, and it stops
+  /// after 0–1 hops there.
+  static constexpr std::size_t kRowReplaySpacing = 16;
+
+  /// Largest tie set the replays hold in their stack buffer (the index is
   /// shared by concurrent propose lanes, so it owns no scratch).
   static constexpr std::size_t kReplayTies = 32;
 
@@ -160,6 +205,14 @@ class ReplicaIndex {
   }
 
  private:
+  /// A replay's draw-free pass: the least distance seen and its tie set.
+  struct ShellTies;
+
+  /// Both replays' draws from their pass: the walk's offers in shell d*,
+  /// or the walk itself when the tie set overflowed.
+  NearestResult replay_walk(NodeId u, FileId j, const ShellTies& ties,
+                            Rng& rng) const;
+
   /// One copy of the replica-list scan, instantiated for the concrete
   /// lattice type (devirtualized, origin resolved once — Lattice is final)
   /// and for the generic Topology. `r = kUnboundedRadius` admits every

@@ -27,12 +27,17 @@ static_assert(static_cast<double>(
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// `r` spec values are doubles; anything at or beyond the NodeId-sized
-/// sentinel (including `inf`) means "no proximity constraint".
-Hop radius_from_param(double value) {
+/// The radius two-choice and least-loaded start from; their fallback
+/// ladders only widen it. `r` spec values are doubles; anything at or
+/// beyond the NodeId-sized sentinel (including `inf`) means "no proximity
+/// constraint".
+Hop radius_of(const StrategySpec& spec) {
+  const double value = spec.get_or("r", kInf);
   if (value >= static_cast<double>(kUnboundedRadius)) return kUnboundedRadius;
   return static_cast<Hop>(value);
 }
+
+Hop no_radius(const StrategySpec&) { return kUnboundedRadius; }
 
 ParamRule stale_rule() {
   return {"stale", 1.0, 4294967295.0, 1.0,
@@ -52,6 +57,14 @@ FallbackPolicy fallback_policy_from_param(double code) {
   return FallbackPolicy::ExpandRadius;
 }
 
+std::size_t bucket_threshold(const StrategySpec& spec,
+                             const Topology& topology,
+                             const StrategyRegistry& registry) {
+  const QueryRadius& query_radius = registry.at(spec.name).query_radius;
+  if (query_radius && query_radius(spec) >= topology.diameter()) return 0;
+  return ReplicaIndex::kBucketThreshold;
+}
+
 template <>
 const StrategyRegistry& StrategyRegistry::built_ins() {
   static const StrategyRegistry registry = [] {
@@ -62,7 +75,8 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
            [](const StrategySpec&, const ReplicaIndex& index, const Topology&,
               const ExperimentConfig&) -> std::unique_ptr<Strategy> {
              return std::make_unique<NearestReplicaStrategy>(index);
-           }});
+           },
+           /*requires_tiers=*/false, no_radius});
     r.add({"two-choice",
            "Strategy II: d uniform candidates within radius r, "
            "least-loaded wins",
@@ -82,7 +96,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
               const Topology&,
               const ExperimentConfig&) -> std::unique_ptr<Strategy> {
              TwoChoiceOptions options;
-             options.radius = radius_from_param(spec.get_or("r", kInf));
+             options.radius = radius_of(spec);
              options.num_choices =
                  static_cast<std::uint32_t>(spec.get_or("d", 2.0));
              options.with_replacement = spec.get_or("wr", 0.0) != 0.0;
@@ -90,7 +104,8 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
                  fallback_policy_from_param(spec.get_or("fallback", 0.0));
              options.beta = spec.get_or("beta", 1.0);
              return std::make_unique<TwoChoiceStrategy>(index, options);
-           }});
+           },
+           /*requires_tiers=*/false, radius_of});
     r.add({"least-loaded",
            "probe every replica within radius r, serve the least-loaded "
            "(ties to the closest)",
@@ -104,11 +119,12 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
               const Topology&,
               const ExperimentConfig&) -> std::unique_ptr<Strategy> {
              LeastLoadedOptions options;
-             options.radius = radius_from_param(spec.get_or("r", kInf));
+             options.radius = radius_of(spec);
              options.fallback =
                  fallback_policy_from_param(spec.get_or("fallback", 0.0));
              return std::make_unique<LeastLoadedStrategy>(index, options);
-           }});
+           },
+           /*requires_tiers=*/false, radius_of});
     r.add({"prox-weighted",
            "d candidates drawn with probability ~ (1+dist)^-alpha, "
            "least-loaded wins",
@@ -125,7 +141,8 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
                  static_cast<std::uint32_t>(spec.get_or("d", 2.0));
              options.alpha = spec.get_or("alpha", 1.0);
              return std::make_unique<ProxWeightedStrategy>(index, options);
-           }});
+           },
+           /*requires_tiers=*/false, no_radius});
     r.add({"cross-two-choice",
            "DistCache cross-layer: hash to one replica per cache tier, "
            "least-loaded wins; origin only on a full miss",
@@ -140,7 +157,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              return std::make_unique<CrossTwoChoiceStrategy>(
                  *tiered, index.placement());
            },
-           /*requires_tiers=*/true});
+           /*requires_tiers=*/true, no_radius});
     r.add({"front-first",
            "CDN baseline: miss in the own front cluster cascades tier by "
            "tier toward the origin (load-oblivious)",
@@ -155,7 +172,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              return std::make_unique<FrontFirstStrategy>(*tiered,
                                                          index.placement());
            },
-           /*requires_tiers=*/true});
+           /*requires_tiers=*/true, no_radius});
     r.add({"cross-prox-weighted",
            "one uniform replica draw per cache tier, keep d by weight "
            "(1+dist)^-alpha, least-loaded wins",
@@ -178,7 +195,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              return std::make_unique<CrossProxWeightedStrategy>(
                  *tiered, index.placement(), options);
            },
-           /*requires_tiers=*/true});
+           /*requires_tiers=*/true, no_radius});
     return r;
   }();
   return registry;

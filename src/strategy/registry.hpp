@@ -37,6 +37,11 @@ using StrategyFactory = std::function<std::unique_ptr<Strategy>(
     const StrategySpec&, const ReplicaIndex&, const Topology&,
     const ExperimentConfig&)>;
 
+/// The smallest radius a strategy passes to
+/// `ReplicaIndex::for_each_replica_within`, from its resolved spec
+/// (`kUnboundedRadius`: it never asks for a radius).
+using QueryRadius = std::function<Hop(const StrategySpec&)>;
+
 /// One registered strategy.
 struct StrategyEntry {
   using Spec = StrategySpec;
@@ -50,6 +55,10 @@ struct StrategyEntry {
   /// lets `ExperimentConfig::validate` reject the mismatch before a run
   /// starts instead of deep inside the factory.
   bool requires_tiers = false;
+  /// Only a radius below the diameter reads a bucket grid, so a run whose
+  /// declared radius reaches the diameter builds none. An entry that
+  /// declares nothing may query any radius and keeps its grids.
+  QueryRadius query_radius = nullptr;
 };
 
 /// Catalog of strategy entries (util/spec_registry.hpp). `built_ins()` is
@@ -61,6 +70,13 @@ using StrategyRegistry = SpecRegistry<StrategyEntry>;
 
 template <>
 const StrategyRegistry& StrategyRegistry::built_ins();
+
+/// The `ReplicaIndex` bucket threshold for a run of `spec` on `topology`:
+/// 0 (no grids) when the entry's declared radius reaches the diameter,
+/// the index's default otherwise.
+[[nodiscard]] std::size_t bucket_threshold(
+    const StrategySpec& spec, const Topology& topology,
+    const StrategyRegistry& registry = StrategyRegistry::global());
 
 /// FallbackPolicy <-> spec parameter code conversions (see spec.hpp for the
 /// symbolic keyword table).

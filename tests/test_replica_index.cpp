@@ -1,14 +1,22 @@
 // Tests for spatial/replica_index: the nearest-replica paths must agree with
-// each other and with brute force (distance and tie count), the shell
-// replay must equal the shell walk draw for draw, and radius streams must
-// match the distance predicate with and without bucket grids.
+// each other and with brute force (distance and tie count), both shell
+// replays must equal the shell walk draw for draw, radius streams must
+// match the distance predicate with and without bucket grids, and a run
+// builds grids only when its strategy queries a radius below the diameter.
 #include "spatial/replica_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
+
+#include "core/nearest_replica.hpp"
+#include "core/run_harness.hpp"
+#include "strategy/registry.hpp"
+#include "strategy/spec.hpp"
+#include "topology/spec.hpp"
 
 namespace proxcache {
 namespace {
@@ -92,16 +100,18 @@ TEST_P(ReplicaIndexParamTest, BothAlgorithmsMatchBruteForce) {
       const NearestResult by_scan = f.index.nearest_by_scan(u, j, rng);
       const NearestResult by_shells = f.index.nearest_by_shells(u, j, rng);
       const NearestResult by_replay = f.index.nearest_by_replay(u, j, rng);
+      const NearestResult by_rows = f.index.nearest_by_rows(u, j, rng);
       const NearestResult automatic = f.index.nearest(u, j, rng);
       if (!expected.found) {
         EXPECT_EQ(by_scan.server, kInvalidNode);
         EXPECT_EQ(by_shells.server, kInvalidNode);
         EXPECT_EQ(by_replay.server, kInvalidNode);
+        EXPECT_EQ(by_rows.server, kInvalidNode);
         EXPECT_EQ(automatic.server, kInvalidNode);
         continue;
       }
       for (const NearestResult& result :
-           {by_scan, by_shells, by_replay, automatic}) {
+           {by_scan, by_shells, by_replay, by_rows, automatic}) {
         ASSERT_NE(result.server, kInvalidNode);
         EXPECT_EQ(result.distance, expected.distance);
         EXPECT_EQ(result.ties, expected.ties);
@@ -121,30 +131,52 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The replay must reproduce the walk draw for draw: same server, distance
-// and ties, and the Rng left in the same state (checked on its next
-// bits()). Comparing results alone would let a reordered draw through.
+// Both replays must reproduce the walk draw for draw: same server,
+// distance and ties, and the Rng left in the same state (checked on its
+// next bits()). Comparing results alone would let a reordered draw through.
 // `nearest()` must likewise equal the scan at |S_j|² <= n and the walk
-// above it, which is what keeps the golden masters unchanged.
+// above it, whichever of its three paths answers there (list replay, row
+// replay or the walk itself), which is what keeps the golden masters
+// unchanged. Parameters: wrap, side, M and K. The K = 200 layouts at side
+// 64 put every file past the list replay's band and under n /
+// kRowReplaySpacing, so `nearest()` runs the row replay there; the M = 8
+// layouts at side 7 and above are past it but denser than that, so
+// `nearest()` walks.
 class ReplayParamTest
-    : public ::testing::TestWithParam<std::tuple<Wrap, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Wrap, int, int, int>> {};
 
 TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
-  const auto [wrap, side, m] = GetParam();
+  const auto [wrap, side, m, k] = GetParam();
   const auto n =
       static_cast<std::size_t>(side) * static_cast<std::size_t>(side);
-  Fixture f(n, 12, static_cast<std::size_t>(m), wrap, 91 + side);
+  const auto files = static_cast<FileId>(k);
+  Fixture f(n, files, static_cast<std::size_t>(m), wrap, 91 + side);
+  // Every origin on the small lattices; a spread of them on the large one.
+  const NodeId stride = n > 256 ? 31 : 1;
   Rng stream(17);
   std::size_t multi_ties = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    for (FileId j = 0; j < 12; ++j) {
+  std::size_t row_band_files = 0;
+  for (FileId j = 0; j < files; ++j) {
+    const std::size_t replicas = f.placement.replica_count(j);
+    if (replicas * replicas > ReplicaIndex::kReplayDensity * n &&
+        replicas * ReplicaIndex::kRowReplaySpacing <= n) {
+      ++row_band_files;
+    }
+  }
+  for (NodeId u = 0; u < n; u += stride) {
+    for (FileId j = 0; j < files; ++j) {
       stream.bits();
       Rng walk_rng = stream;
       Rng replay_rng = stream;
+      Rng rows_rng = stream;
       const NearestResult walk = f.index.nearest_by_shells(u, j, walk_rng);
       const NearestResult replay = f.index.nearest_by_replay(u, j, replay_rng);
+      const NearestResult rows = f.index.nearest_by_rows(u, j, rows_rng);
       expect_same_nearest(replay, walk);
-      EXPECT_EQ(replay_rng.bits(), walk_rng.bits()) << "u=" << u << " j=" << j;
+      expect_same_nearest(rows, walk);
+      const std::uint64_t next = walk_rng.bits();
+      EXPECT_EQ(replay_rng.bits(), next) << "u=" << u << " j=" << j;
+      EXPECT_EQ(rows_rng.bits(), next) << "u=" << u << " j=" << j;
       if (walk.ties >= 2) ++multi_ties;
 
       const std::size_t replicas = f.placement.replica_count(j);
@@ -163,24 +195,36 @@ TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
   if (side >= 7) {
     EXPECT_GT(multi_ties, 0u) << "no tie set was exercised";
   }
+  if (k == 200) {
+    EXPECT_EQ(row_band_files, files) << "a file fell outside the row band";
+  }
+}
+
+std::string replay_param_name(
+    const ::testing::TestParamInfo<ReplayParamTest::ParamType>& info) {
+  const auto [wrap, side, m, k] = info.param;
+  return to_string(wrap) + "_side" + std::to_string(side) + "_M" +
+         std::to_string(m) + (k == 12 ? "" : "_K" + std::to_string(k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     WrapSideAndCache, ReplayParamTest,
     ::testing::Combine(::testing::Values(Wrap::Torus, Wrap::Grid),
                        ::testing::Values(1, 2, 3, 4, 7, 8, 15, 16),
-                       ::testing::Values(1, 3, 8)),
-    [](const auto& info) {
-      return to_string(std::get<0>(info.param)) + "_side" +
-             std::to_string(std::get<1>(info.param)) + "_M" +
-             std::to_string(std::get<2>(info.param));
-    });
+                       ::testing::Values(1, 3, 8), ::testing::Values(12)),
+    replay_param_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    RowBand, ReplayParamTest,
+    ::testing::Values(std::make_tuple(Wrap::Torus, 64, 10, 200),
+                      std::make_tuple(Wrap::Grid, 64, 10, 200)),
+    replay_param_name);
 
 TEST(ReplicaIndex, ReplayFallsBackToTheWalkWhenTiesOverflow) {
   // File 1 on the whole shell at distance 9 around the center of a side-20
-  // lattice: 36 ties, more than the replay's stack buffer holds, and 36² is
-  // inside the replay's density band, so nearest() takes the replay too.
-  // The first kReplayTies of them fill the buffer exactly.
+  // lattice: 36 ties, more than the replays' stack buffer holds, and 36² is
+  // inside the list replay's density band, so nearest() takes that replay
+  // too. The first kReplayTies of them fill the buffer exactly.
   constexpr std::int32_t kSide = 20;
   constexpr Hop kRadius = 9;
   for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
@@ -205,15 +249,18 @@ TEST(ReplicaIndex, ReplayFallsBackToTheWalkWhenTiesOverflow) {
       for (std::uint64_t seed = 0; seed < 64; ++seed) {
         Rng walk_rng(seed);
         Rng replay_rng(seed);
+        Rng rows_rng(seed);
         Rng automatic_rng(seed);
         const NearestResult walk = index.nearest_by_shells(center, 1, walk_rng);
         EXPECT_EQ(walk.ties, holders.size());
         EXPECT_EQ(walk.distance, kRadius);
         expect_same_nearest(index.nearest_by_replay(center, 1, replay_rng),
                             walk);
+        expect_same_nearest(index.nearest_by_rows(center, 1, rows_rng), walk);
         expect_same_nearest(index.nearest(center, 1, automatic_rng), walk);
         const std::uint64_t next = walk_rng.bits();
         EXPECT_EQ(replay_rng.bits(), next);
+        EXPECT_EQ(rows_rng.bits(), next);
         EXPECT_EQ(automatic_rng.bits(), next);
       }
     }
@@ -306,6 +353,49 @@ TEST(ReplicaIndex, BucketGridsBuiltOnlyAboveThreshold) {
     EXPECT_EQ(f.index.has_bucket_grid(j),
               f.placement.replica_count(j) >= 100)
         << "file " << j << " has " << f.placement.replica_count(j);
+  }
+}
+
+// Only a radius below the diameter reads a bucket grid, so a run builds
+// grids only when its strategy declares such a radius. Every file of this
+// placement holds at least kBucketThreshold replicas.
+TEST(ReplicaIndex, RunsBuildBucketGridsOnlyForAFiniteRadius) {
+  const char* const undeclared = "test-undeclared-radius";
+  if (StrategyRegistry::global().find(undeclared) == nullptr) {
+    StrategyRegistry::global().add(
+        {undeclared,
+         "test-only: nearest replica, no query radius declared",
+         {},
+         [](const StrategySpec&, const ReplicaIndex& index, const Topology&,
+            const ExperimentConfig&) -> std::unique_ptr<Strategy> {
+           return std::make_unique<NearestReplicaStrategy>(index);
+         }});
+  }
+  ExperimentConfig config;
+  config.topology_spec = parse_topology_spec("torus(side=40)");
+  config.num_files = 20;
+  config.cache_size = 10;
+  const auto grids_of = [&](const std::string& strategy) {
+    config.strategy_spec = parse_strategy_spec(strategy);
+    const SimulationContext context(config);
+    const RunHarness harness(context, 0);
+    std::size_t grids = 0;
+    for (FileId j = 0; j < config.num_files; ++j) {
+      EXPECT_GE(harness.placement.replica_count(j),
+                ReplicaIndex::kBucketThreshold);
+      grids += harness.index.has_bucket_grid(j) ? 1 : 0;
+    }
+    return grids;
+  };
+  for (const std::string strategy :
+       {"nearest", "two-choice", "prox-weighted", "two-choice(r=inf)",
+        "two-choice(r=40)"}) {
+    EXPECT_EQ(grids_of(strategy), 0u) << strategy;
+  }
+  for (const std::string strategy :
+       {"least-loaded(r=8)", "two-choice(r=8)", "two-choice(r=39)",
+        undeclared}) {
+    EXPECT_EQ(grids_of(strategy), config.num_files) << strategy;
   }
 }
 
