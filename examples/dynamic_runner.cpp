@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                   "dispatch policy spec resolved by the StrategyRegistry");
   args.add_string("topology", "",
                   "topology spec, e.g. 'ring(n=400)'; empty = the torus "
-                  "of --n servers (or the scenario's own lattice)");
+                  "of --n servers");
   args.add_string("tiers", "",
                   "tier hierarchy: a preset name (see --list) or a "
                   "tiers(...) spec; misses cascade down the tiers and the "

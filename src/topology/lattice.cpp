@@ -1,7 +1,6 @@
 #include "topology/lattice.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -10,31 +9,6 @@
 #include "util/contracts.hpp"
 
 namespace proxcache {
-
-Wrap wrap_from_string(const std::string& name) {
-  // Tolerant parse, matching the spec grammar: trim surrounding whitespace
-  // and compare case-insensitively, so "Torus", " GRID " and "torus" all
-  // resolve. The error message echoes the *trimmed* token, which pinpoints
-  // typos without whitespace noise.
-  std::size_t begin = 0;
-  std::size_t end = name.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(name[begin])) != 0) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(name[end - 1])) != 0) {
-    --end;
-  }
-  std::string token = name.substr(begin, end - begin);
-  for (char& c : token) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (token == "torus") return Wrap::Torus;
-  if (token == "grid") return Wrap::Grid;
-  throw std::invalid_argument("unknown wrap mode '" + token +
-                              "' (expected 'torus' or 'grid')");
-}
 
 std::string to_string(Wrap wrap) {
   return wrap == Wrap::Torus ? "torus" : "grid";

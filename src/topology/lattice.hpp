@@ -34,12 +34,6 @@ enum class Wrap : std::uint8_t {
   Grid,   ///< bounded; no wraparound
 };
 
-/// Parse "torus"/"grid" into a Wrap. Tolerant of letter case and
-/// surrounding whitespace (same tolerance as the strategy/topology spec
-/// grammar); throws std::invalid_argument naming the offending token
-/// otherwise.
-Wrap wrap_from_string(const std::string& name);
-
 /// Human-readable wrap-mode name.
 std::string to_string(Wrap wrap);
 

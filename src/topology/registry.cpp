@@ -8,7 +8,6 @@
 #include "topology/hyperbolic.hpp"
 #include "topology/ring.hpp"
 #include "topology/tree.hpp"
-#include "util/contracts.hpp"
 
 namespace proxcache {
 
@@ -159,9 +158,12 @@ const TopologyRegistry& TopologyRegistry::built_ins() {
 }
 
 TopologySpec topology_spec_from_lattice(std::size_t num_nodes, Wrap wrap) {
-  PROXCACHE_REQUIRE(Lattice::is_perfect_square(num_nodes),
-                    "num_nodes must be a perfect square, got " +
-                        std::to_string(num_nodes));
+  // A user-supplied count (the runners' --n): name the value, not the
+  // library's precondition.
+  if (!Lattice::is_perfect_square(num_nodes)) {
+    throw std::invalid_argument("node count " + std::to_string(num_nodes) +
+                                " is not a perfect square");
+  }
   const std::int32_t side =
       Lattice::from_node_count(num_nodes, wrap).side();
   TopologySpec spec;

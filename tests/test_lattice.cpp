@@ -28,10 +28,7 @@ TEST(LatticeBasics, FromNodeCount) {
                std::invalid_argument);
 }
 
-TEST(LatticeBasics, WrapParsing) {
-  EXPECT_EQ(wrap_from_string("torus"), Wrap::Torus);
-  EXPECT_EQ(wrap_from_string("grid"), Wrap::Grid);
-  EXPECT_THROW(wrap_from_string("ring"), std::invalid_argument);
+TEST(LatticeBasics, WrapNames) {
   EXPECT_EQ(to_string(Wrap::Torus), "torus");
   EXPECT_EQ(to_string(Wrap::Grid), "grid");
 }

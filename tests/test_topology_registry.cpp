@@ -108,8 +108,18 @@ TEST(TopologyRegistry, LatticeNodeCountsMapToEquivalentSpec) {
             "torus(side=45)");
   EXPECT_EQ(topology_spec_from_lattice(64, Wrap::Grid).to_string(),
             "grid(side=8)");
-  EXPECT_THROW((void)topology_spec_from_lattice(10, Wrap::Torus),
-               std::invalid_argument);
+  try {
+    (void)topology_spec_from_lattice(10, Wrap::Torus);
+    FAIL() << "expected a non-square node count to throw";
+  } catch (const std::invalid_argument& error) {
+    // A user-level message naming the value, not a library precondition.
+    const std::string message = error.what();
+    EXPECT_NE(message.find("node count 10 is not a perfect square"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("precondition violated"), std::string::npos)
+        << message;
+  }
 
   // And the config-level resolution: empty spec -> the paper's torus; a
   // set spec wins and decides the node count.

@@ -1,15 +1,12 @@
 // Topology spec grammar (topology/spec.hpp): identical tolerance and
 // round-trip behavior to the strategy grammar it mirrors (both ride on
-// util/kvspec.hpp), plus the tolerant wrap_from_string parser of lattice
-// wrap names.
+// util/kvspec.hpp).
 #include "topology/spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
-
-#include "topology/lattice.hpp"
 
 namespace proxcache {
 namespace {
@@ -68,46 +65,6 @@ TEST(TopologySpec, RejectsMalformedInputWithPreciseMessages) {
   expect_parse_error("ring(n=abc)", "neither a number nor a known keyword");
   expect_parse_error("ring(n=1) x", "trailing characters");
   expect_parse_error("ring{n=1}", "expected '('");
-}
-
-// ---------------------------------------------------------------------------
-// wrap_from_string: the wrap-name parser must be exactly as
-// tolerant as the spec grammar (bugfix: it used to be case-sensitive and
-// whitespace-intolerant while every spec string was not).
-// ---------------------------------------------------------------------------
-
-TEST(WrapFromString, AcceptsCanonicalNames) {
-  EXPECT_EQ(wrap_from_string("torus"), Wrap::Torus);
-  EXPECT_EQ(wrap_from_string("grid"), Wrap::Grid);
-}
-
-TEST(WrapFromString, IsCaseAndWhitespaceTolerant) {
-  EXPECT_EQ(wrap_from_string("Torus"), Wrap::Torus);
-  EXPECT_EQ(wrap_from_string("TORUS"), Wrap::Torus);
-  EXPECT_EQ(wrap_from_string("  torus  "), Wrap::Torus);
-  EXPECT_EQ(wrap_from_string("\tGrid\n"), Wrap::Grid);
-  EXPECT_EQ(wrap_from_string(" gRiD "), Wrap::Grid);
-}
-
-TEST(WrapFromString, RejectsUnknownNamesNamingTheToken) {
-  try {
-    (void)wrap_from_string("  Ring ");
-    FAIL() << "expected an unknown wrap mode to throw";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("'ring'"), std::string::npos)
-        << "message should echo the trimmed, lowercased token: " << message;
-    EXPECT_NE(message.find("torus"), std::string::npos) << message;
-  }
-  EXPECT_THROW((void)wrap_from_string(""), std::invalid_argument);
-  EXPECT_THROW((void)wrap_from_string("   "), std::invalid_argument);
-  EXPECT_THROW((void)wrap_from_string("to rus"), std::invalid_argument);
-}
-
-TEST(WrapFromString, RoundTripsToString) {
-  for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
-    EXPECT_EQ(wrap_from_string(to_string(wrap)), wrap);
-  }
 }
 
 }  // namespace
