@@ -64,6 +64,9 @@ RunHarness::RunHarness(const SimulationContext& context,
                                context.popularity(), context.horizon())),
       sanitized(*source, context.horizon(), placement, context.popularity(),
                 context.config().missing, repair_rng),
+      index(context.topology(), placement,
+            bucket_threshold(context.config().resolved_strategy(),
+                             context.topology())),
       // Every strategy — the paper pair and any extension registered on the
       // global catalog — is constructed by the open registry from the
       // resolved spec; there is no enum dispatch. `with_defaults` validates
@@ -73,8 +76,6 @@ RunHarness::RunHarness(const SimulationContext& context,
       // validation pass, not two.
       spec(StrategyRegistry::global().with_defaults(
           context.config().resolved_strategy())),
-      index(context.topology(), placement,
-            bucket_threshold(spec, context.topology())),
       strategy(StrategyRegistry::global().at(spec.name).factory(
           spec, index, context.topology(), context.config())),
       strategy_rng(derive_seed(context.config().seed,

@@ -68,10 +68,13 @@ class RunHarness {
   Rng repair_rng;
   std::unique_ptr<TraceSource> source;
   SanitizingTraceSource sanitized;
-  StrategySpec spec;  ///< resolved strategy spec, registry defaults filled
   /// Bucket grids only when the strategy queries a radius below the
-  /// diameter (`bucket_threshold`, strategy/registry.hpp).
+  /// diameter (`bucket_threshold`, strategy/registry.hpp). Built before
+  /// `spec`: with the spec resolved first, paper-sweep's least-loaded runs
+  /// on 4 workers took ~10× the minor page faults, each replication
+  /// faulting its grid memory in again.
   ReplicaIndex index;
+  StrategySpec spec;  ///< resolved strategy spec, registry defaults filled
   std::unique_ptr<Strategy> strategy;
   Rng strategy_rng;  ///< the serial engine's sequential strategy stream
   LoadTracker tracker;

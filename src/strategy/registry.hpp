@@ -38,8 +38,10 @@ using StrategyFactory = std::function<std::unique_ptr<Strategy>(
     const ExperimentConfig&)>;
 
 /// The smallest radius a strategy passes to
-/// `ReplicaIndex::for_each_replica_within`, from its resolved spec
-/// (`kUnboundedRadius`: it never asks for a radius).
+/// `ReplicaIndex::for_each_replica_within`, from its spec
+/// (`kUnboundedRadius`: it never asks for a radius). The spec may lack the
+/// registry's defaults, so read a parameter with `get_or` and its rule's
+/// default.
 using QueryRadius = std::function<Hop(const StrategySpec&)>;
 
 /// One registered strategy.
@@ -71,9 +73,9 @@ using StrategyRegistry = SpecRegistry<StrategyEntry>;
 template <>
 const StrategyRegistry& StrategyRegistry::built_ins();
 
-/// The `ReplicaIndex` bucket threshold for a run of `spec` on `topology`:
-/// 0 (no grids) when the entry's declared radius reaches the diameter,
-/// the index's default otherwise.
+/// The `ReplicaIndex` bucket threshold for a run of `spec` (validated;
+/// defaults filled or not) on `topology`: 0 (no grids) when the entry's
+/// declared radius reaches the diameter, the index's default otherwise.
 [[nodiscard]] std::size_t bucket_threshold(
     const StrategySpec& spec, const Topology& topology,
     const StrategyRegistry& registry = StrategyRegistry::global());
