@@ -69,10 +69,7 @@ class RunHarness {
   std::unique_ptr<TraceSource> source;
   SanitizingTraceSource sanitized;
   /// Bucket grids only when the strategy queries a radius below the
-  /// diameter (`bucket_threshold`, strategy/registry.hpp). Built before
-  /// `spec`: with the spec resolved first, paper-sweep's least-loaded runs
-  /// on 4 workers took ~10× the minor page faults, each replication
-  /// faulting its grid memory in again.
+  /// diameter (`bucket_threshold`, strategy/registry.hpp).
   ReplicaIndex index;
   StrategySpec spec;  ///< resolved strategy spec, registry defaults filled
   std::unique_ptr<Strategy> strategy;

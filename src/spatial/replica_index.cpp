@@ -6,37 +6,6 @@
 
 namespace proxcache {
 
-namespace {
-
-/// One copy of the nearest-scan logic (minimum distance, ties reservoir-
-/// sampled), instantiated for the devirtualized lattice path and the
-/// generic Topology path.
-template <typename TopologyT>
-NearestResult nearest_on(const TopologyT& topology,
-                         std::span<const NodeId> list, NodeId u,
-                         Hop sentinel, Rng& rng) {
-  NearestResult result;
-  Hop best = sentinel;
-  ReservoirOne reservoir(rng);
-  const auto distance = detail::distances_from(topology, u);
-  for (const NodeId v : list) {
-    const Hop d = distance(v);
-    if (d < best) {
-      best = d;
-      reservoir = ReservoirOne(rng);  // restart ties at the new minimum
-      reservoir.offer(v);
-    } else if (d == best) {
-      reservoir.offer(v);
-    }
-  }
-  result.server = *reservoir.value();
-  result.distance = best;
-  result.ties = static_cast<std::uint32_t>(reservoir.count());
-  return result;
-}
-
-}  // namespace
-
 ReplicaIndex::ReplicaIndex(const Topology& topology,
                            const Placement& placement,
                            std::size_t bucket_threshold)
@@ -45,28 +14,65 @@ ReplicaIndex::ReplicaIndex(const Topology& topology,
       placement_(&placement) {
   PROXCACHE_REQUIRE(topology.size() == placement.num_nodes(),
                     "topology and placement disagree on node count");
-  buckets_.resize(placement.num_files());
-  // Bucket grids are a lattice coordinate structure; other topologies
-  // answer radius queries through the replica-list scan.
-  if (bucket_threshold == 0 || lattice_ == nullptr) return;
-  for (FileId j = 0; j < placement.num_files(); ++j) {
+  // Bucket grids and packed coordinates are lattice coordinate structures;
+  // other topologies answer every query through their distance oracle.
+  if (lattice_ == nullptr) return;
+  PROXCACHE_REQUIRE(lattice_->side() <= kMaxPackedSide,
+                    "lattice side exceeds the packed coordinate range");
+  const std::size_t files = placement.num_files();
+  if (bucket_threshold != 0) {
+    grids_ = BucketGrids(
+        *lattice_, files,
+        [&placement](std::size_t j) {
+          return placement.replicas(static_cast<FileId>(j));
+        },
+        bucket_threshold);
+  }
+  // Coordinates for the files whose list passes nearest() and the radius
+  // streams run: inside the list replay's band and without a grid.
+  const std::size_t n = topology.size();
+  coord_offsets_.assign(files + 1, 0);
+  for (FileId j = 0; j < files; ++j) {
+    const std::size_t count = placement.replica_count(j);
+    const bool scanned =
+        count * count <= kReplayDensity * n && !grids_.has_grid(j);
+    coord_offsets_[j + 1] =
+        coord_offsets_[j] + static_cast<std::uint32_t>(scanned ? count : 0);
+  }
+  coords_.resize(coord_offsets_[files]);
+  const Divider by_side(static_cast<std::uint32_t>(lattice_->side()));
+  for (FileId j = 0; j < files; ++j) {
     const auto list = placement.replicas(j);
-    if (list.size() >= bucket_threshold) {
-      buckets_[j] = std::make_unique<BucketGrid>(*lattice_, list);
+    const auto coords = std::span(coords_).subspan(
+        coord_offsets_[j], coord_offsets_[j + 1] - coord_offsets_[j]);
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+      coords[i] = pack_coord(by_side.coord(list[i]));
     }
   }
 }
 
 NearestResult ReplicaIndex::nearest_by_scan(NodeId u, FileId j,
                                             Rng& rng) const {
-  const auto list = placement_->replicas(j);
-  if (list.empty()) return NearestResult{};
+  if (placement_->replica_count(j) == 0) return NearestResult{};
 
-  const Hop sentinel = topology_->diameter() + 1;
-  if (lattice_ != nullptr) {
-    return nearest_on(*lattice_, list, u, sentinel, rng);
-  }
-  return nearest_on(*topology_, list, u, sentinel, rng);
+  // Minimum distance, ties reservoir-sampled; the reservoir restarts at
+  // every new minimum.
+  Hop best = topology_->diameter() + 1;
+  ReservoirOne reservoir(rng);
+  for_each_distance(u, j, [&](NodeId v, Hop d) {
+    if (d < best) {
+      best = d;
+      reservoir = ReservoirOne(rng);
+      reservoir.offer(v);
+    } else if (d == best) {
+      reservoir.offer(v);
+    }
+  });
+  NearestResult result;
+  result.server = *reservoir.value();
+  result.distance = best;
+  result.ties = static_cast<std::uint32_t>(reservoir.count());
+  return result;
 }
 
 NearestResult ReplicaIndex::nearest_by_shells(NodeId u, FileId j,
@@ -137,12 +143,11 @@ NearestResult ReplicaIndex::replay_walk(NodeId u, FileId j,
 NearestResult ReplicaIndex::nearest_by_replay(NodeId u, FileId j,
                                               Rng& rng) const {
   if (lattice_ == nullptr) return nearest_by_shells(u, j, rng);
-  const auto list = placement_->replicas(j);
-  if (list.empty()) return NearestResult{};  // the walk draws nothing either
+  // An empty list: the walk draws nothing either.
+  if (placement_->replica_count(j) == 0) return NearestResult{};
 
   ShellTies ties;
-  const auto distance = detail::distances_from(*lattice_, u);
-  for (const NodeId v : list) ties.offer(v, distance(v));
+  for_each_distance(u, j, [&ties](NodeId v, Hop d) { ties.offer(v, d); });
   return replay_walk(u, j, ties, rng);
 }
 
@@ -155,32 +160,37 @@ NearestResult ReplicaIndex::nearest_by_rows(NodeId u, FileId j,
   // Ids are row-major (y·side + x) and the list is sorted, so row y's
   // replicas are the run [y·side, (y+1)·side) of it. A replica in a row at
   // row distance k is at least k away, so once k passes the best distance
-  // no later row can hold a tie.
+  // no later row can hold a tie. Within a row a replica's distance is its
+  // column distance plus k: no coordinate division.
   ShellTies ties;
-  const auto distance = detail::distances_from(*lattice_, u);
+  const Point origin = lattice_->coord(u);
+  const PackedDistance distance(*lattice_, origin);
   const std::int32_t side = lattice_->side();
-  const auto scan_row = [&](std::int32_t y) {
+  const auto scan_row = [&](std::int32_t y, Hop k) {
     const auto row = static_cast<NodeId>(y) * static_cast<NodeId>(side);
     const auto first = std::lower_bound(list.begin(), list.end(), row);
     const auto last = std::lower_bound(
         first, list.end(), row + static_cast<NodeId>(side));
-    for (auto it = first; it != last; ++it) ties.offer(*it, distance(*it));
+    for (auto it = first; it != last; ++it) {
+      const auto x = static_cast<std::int32_t>(*it - row);
+      ties.offer(*it, static_cast<Hop>(distance.axis(origin.x, x)) + k);
+    }
   };
   // The rows at row distance k are y0 ± k: wrapped on the torus, where the
   // two coincide at k = 0 and k = side/2; clipped to [0, side) on the grid.
   const bool torus = lattice_->wrap() == Wrap::Torus;
-  const std::int32_t y0 = lattice_->coord(u).y;
+  const std::int32_t y0 = origin.y;
   const std::int32_t last_k = torus ? side / 2 : std::max(y0, side - 1 - y0);
   for (std::int32_t k = 0; k <= last_k && static_cast<Hop>(k) <= ties.best;
        ++k) {
     std::int32_t up = y0 + k;
     std::int32_t down = y0 - k;
     if (torus) {
-      up %= side;
-      down = (down + side) % side;
+      if (up >= side) up -= side;
+      if (down < 0) down += side;
     }
-    if (up < side) scan_row(up);
-    if (down != up && down >= 0) scan_row(down);
+    if (up < side) scan_row(up, static_cast<Hop>(k));
+    if (down != up && down >= 0) scan_row(down, static_cast<Hop>(k));
   }
   return replay_walk(u, j, ties, rng);
 }

@@ -36,17 +36,26 @@
 /// first hit (`|S_j| <= n / kRowReplaySpacing`); denser files walk.
 /// Topologies without direct shell enumeration always scan. Tests
 /// cross-validate the paths, both replays against the walk draw for draw.
-/// Radius streams use the replica list or a per-file bucket grid (built for
-/// files with large `|S_j|` — lattice topologies only; the grid is a
-/// coordinate structure).
+/// Radius streams use the replica list or a bucket grid (spatial/
+/// bucket_grid.hpp; built for files with large `|S_j|` — lattice
+/// topologies only, the grid is a coordinate structure).
 ///
-/// On lattices every scan resolves the origin's coordinate once
-/// (`Lattice::distance_from`), so each replica costs one coordinate
-/// division.
+/// On lattices the index keeps packed 16-bit (x, y) coordinates
+/// (spatial/packed_coord.hpp) in one flat array, reached through per-file
+/// offsets, for every file with `|S_j|² <= kReplayDensity·n` and no bucket
+/// grid: the files `nearest()` answers by the list scan or the list
+/// replay, whose radius and unbounded streams scan the list too. Those
+/// passes compute a stack chunk of distances in one branch-free, vectorized
+/// pass, then run their unchanged reservoir, tie or radius pass over the
+/// chunk in list order, so every draw, tie and candidate order is that of a
+/// plain scan, with no division per replica. Files outside that band scan
+/// through `Lattice::distance_from` (one coordinate division per replica).
+/// The bucket grids store packed coordinates too, all files' grids in one
+/// flat CSR. The row replay knows each row y and its row distance k, so a
+/// replica's distance is `axis(x0, v − y·side) + k`.
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,6 +63,7 @@
 #include "random/rng.hpp"
 #include "random/sampling.hpp"
 #include "spatial/bucket_grid.hpp"
+#include "spatial/packed_coord.hpp"
 #include "topology/lattice.hpp"
 #include "topology/shells.hpp"
 #include "topology/topology.hpp"
@@ -147,16 +157,19 @@ class ReplicaIndex {
   /// Past the list replay's band, `nearest()` takes the row replay for
   /// lattice files with `|S_j| <= n / kRowReplaySpacing` (the walk expects
   /// at least that many nodes before its first hit) and walks denser ones.
-  /// Measured as above: the rows overtake the walk at n/|S_j| ≈ 6 with
-  /// M = 100, and at ≈ 10, 17 and 22 with M = 10 on sides 45, 100 and 150,
-  /// since each `caches` probe is cheaper at small M and each row longer
-  /// at large side. At n/|S_j| ≥ 16 the rows won or tied everywhere but
-  /// side 150 with M = 10 below 22, where they cost up to ~23% more; at
-  /// M = 100, n/|S_j| ≈ 20 on sides 100 and 150 they take 1.4–2.0 µs
-  /// against the walk's 3.1–4.2 µs. Below 16 the walk is kept, so the
-  /// hottest files of a Zipf catalog (n/|S_j| ≈ 2) walk, and it stops
-  /// after 0–1 hops there.
-  static constexpr std::size_t kRowReplaySpacing = 16;
+  /// Measured per query with the row pass division-free (4-core Xeon, tori
+  /// of side 45, 100 and 150, K = 2000, Zipf(0.8) placements, uniform
+  /// origins): the rows overtake the walk at n/|S_j| ≈ 4–5, 5–6 and 6–8
+  /// with M = 100, and at ≈ 8, 12–14 and 14–16 with M = 10, since each
+  /// `caches` probe is cheaper at small M and each row longer at large
+  /// side. 8 bounds the worst case on both sides: at side 150 with M = 10,
+  /// files with n/|S_j| in [8, 14) take rows at up to ~1.5× the walk's
+  /// cost, and M = 100 files in [4, 8) walk at up to ~1.6× the rows'; 16
+  /// would leave M = 100 files at n/|S_j| ≈ 15 walking at 1.7–3.2× the
+  /// rows' cost. At n/|S_j| ≈ 20, as on paper-sweep's M = 100 tori, the
+  /// rows take 0.6–0.9 µs against the walk's 1.6–2.0 µs. The hottest files
+  /// of a Zipf catalog (n/|S_j| ≈ 2) walk, and stop after 0–1 hops there.
+  static constexpr std::size_t kRowReplaySpacing = 8;
 
   /// Largest tie set the replays hold in their stack buffer (the index is
   /// shared by concurrent propose lanes, so it owns no scratch).
@@ -172,8 +185,8 @@ class ReplicaIndex {
       scan_replicas(u, j, kUnboundedRadius, std::forward<Fn>(fn));
       return;
     }
-    if (buckets_[j]) {
-      buckets_[j]->for_each_within(u, r, std::forward<Fn>(fn));
+    if (grids_.has_grid(j)) {
+      grids_.for_each_within(j, u, r, std::forward<Fn>(fn));
       return;
     }
     if (topology_->prefers_local_enumeration() &&
@@ -201,7 +214,7 @@ class ReplicaIndex {
 
   /// True iff file `j` has a bucket grid (exposed for tests/benches).
   [[nodiscard]] bool has_bucket_grid(FileId j) const {
-    return buckets_[j] != nullptr;
+    return grids_.has_grid(j);
   }
 
  private:
@@ -213,36 +226,50 @@ class ReplicaIndex {
   NearestResult replay_walk(NodeId u, FileId j, const ShellTies& ties,
                             Rng& rng) const;
 
-  /// One copy of the replica-list scan, instantiated for the concrete
-  /// lattice type (devirtualized, origin resolved once — Lattice is final)
-  /// and for the generic Topology. `r = kUnboundedRadius` admits every
-  /// replica.
-  template <typename TopologyT, typename Fn>
-  static void scan_replicas_on(const TopologyT& topology,
-                               std::span<const NodeId> list, NodeId u, Hop r,
-                               Fn&& fn) {
-    const auto distance = detail::distances_from(topology, u);
-    for (const NodeId v : list) {
-      const Hop d = distance(v);
-      if (r == kUnboundedRadius || d <= r) fn(v, d);
+  /// Invoke `fn(v, d)` for every replica `v` of `j` in list order, with
+  /// `d` its distance from `u`: from packed coordinates a chunk at a time
+  /// where the file has them, else through the lattice kernel (the concrete
+  /// lattice type, devirtualized — Lattice is final) or the topology.
+  template <typename Fn>
+  void for_each_distance(NodeId u, FileId j, Fn&& fn) const {
+    const auto list = placement_->replicas(j);
+    if (lattice_ == nullptr) {
+      const auto distance = detail::distances_from(*topology_, u);
+      for (const NodeId v : list) fn(v, distance(v));
+      return;
     }
+    const auto coords = coords_of(j);
+    if (coords.size() != list.size()) {
+      const auto distance = detail::distances_from(*lattice_, u);
+      for (const NodeId v : list) fn(v, distance(v));
+      return;
+    }
+    for_each_packed_distance(list, coords,
+                             PackedDistance(*lattice_, lattice_->coord(u)),
+                             std::forward<Fn>(fn));
   }
 
-  /// Dispatch the scan to the devirtualized lattice path when possible.
+  /// The replica-list stream: every replica within `r` of `u`
+  /// (`r = kUnboundedRadius` admits every replica), in list order.
   template <typename Fn>
   void scan_replicas(NodeId u, FileId j, Hop r, Fn&& fn) const {
-    const auto list = placement_->replicas(j);
-    if (lattice_ != nullptr) {
-      scan_replicas_on(*lattice_, list, u, r, std::forward<Fn>(fn));
-    } else {
-      scan_replicas_on(*topology_, list, u, r, std::forward<Fn>(fn));
-    }
+    for_each_distance(u, j, [&](NodeId v, Hop d) {
+      if (r == kUnboundedRadius || d <= r) fn(v, d);
+    });
+  }
+
+  /// File `j`'s packed coordinates; empty when it has none.
+  [[nodiscard]] std::span<const PackedCoord> coords_of(FileId j) const {
+    return std::span(coords_).subspan(
+        coord_offsets_[j], coord_offsets_[j + 1] - coord_offsets_[j]);
   }
 
   const Topology* topology_;
   const Lattice* lattice_;  ///< `topology_->as_lattice()`, cached
   const Placement* placement_;
-  std::vector<std::unique_ptr<BucketGrid>> buckets_;
+  BucketGrids grids_;
+  std::vector<std::uint32_t> coord_offsets_;  ///< K + 1 on lattices
+  std::vector<PackedCoord> coords_;           ///< in-band files, file by file
 };
 
 }  // namespace proxcache

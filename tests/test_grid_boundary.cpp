@@ -91,14 +91,15 @@ TEST(GridBoundary, BucketGridRadiusQueriesAreExactAtTheEdges) {
   // Cell sizes that do and do not divide the side, including partial edge
   // cells (cell=4 leaves a 2-wide fringe).
   for (const std::int32_t cell : {1, 2, 4, 5, 6}) {
-    const BucketGrid buckets(grid, all, cell);
+    const BucketGrids buckets(
+        grid, 1, [&all](std::size_t) { return std::span(all); }, 0, cell);
     for (const NodeId u :
          {grid.node(Point{0, 0}), grid.node(Point{5, 0}),
           grid.node(Point{0, 5}), grid.node(Point{5, 5}),
           grid.node(Point{3, 0}), grid.node(Point{2, 3})}) {
       for (Hop r = 0; r <= grid.diameter() + 1; ++r) {
         std::vector<NodeId> got;
-        buckets.for_each_within(u, r,
+        buckets.for_each_within(0, u, r,
                                 [&](NodeId v, Hop) { got.push_back(v); });
         std::vector<NodeId> want;
         for (NodeId v = 0; v < grid.size(); ++v) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/nearest_replica.hpp"
@@ -156,11 +157,15 @@ TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
   Rng stream(17);
   std::size_t multi_ties = 0;
   std::size_t row_band_files = 0;
+  std::size_t coordinate_band_files = 0;
   for (FileId j = 0; j < files; ++j) {
     const std::size_t replicas = f.placement.replica_count(j);
     if (replicas * replicas > ReplicaIndex::kReplayDensity * n &&
         replicas * ReplicaIndex::kRowReplaySpacing <= n) {
       ++row_band_files;
+    }
+    if (replicas * replicas <= ReplicaIndex::kReplayDensity * n) {
+      ++coordinate_band_files;
     }
   }
   for (NodeId u = 0; u < n; u += stride) {
@@ -198,6 +203,10 @@ TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
   if (k == 200) {
     EXPECT_EQ(row_band_files, files) << "a file fell outside the row band";
   }
+  if (k == 131) {
+    EXPECT_GT(coordinate_band_files, 0u) << "no file with coordinates";
+    EXPECT_LT(coordinate_band_files, files) << "no file past their band";
+  }
 }
 
 std::string replay_param_name(
@@ -218,6 +227,15 @@ INSTANTIATE_TEST_SUITE_P(
     RowBand, ReplayParamTest,
     ::testing::Values(std::make_tuple(Wrap::Torus, 64, 10, 200),
                       std::make_tuple(Wrap::Grid, 64, 10, 200)),
+    replay_param_name);
+
+// |S_j| ≈ 75 ± 8 at n = 1024: files on both sides of the coordinate band's
+// edge (|S_j|² = kReplayDensity·n, |S_j| ≈ 78), so the list replay runs
+// from packed coordinates on some and through the lattice kernel on others.
+INSTANTIATE_TEST_SUITE_P(
+    CoordinateBandEdge, ReplayParamTest,
+    ::testing::Values(std::make_tuple(Wrap::Torus, 32, 10, 131),
+                      std::make_tuple(Wrap::Grid, 32, 10, 131)),
     replay_param_name);
 
 TEST(ReplicaIndex, ReplayFallsBackToTheWalkWhenTiesOverflow) {
@@ -320,6 +338,75 @@ TEST(ReplicaIndex, RadiusStreamMatchesPredicateWithAndWithoutBuckets) {
         }
       }
     }
+  }
+}
+
+/// The list scan as it was before packed coordinates: list order, one
+/// `Lattice::distance` per replica, the reservoir restarting at every new
+/// minimum.
+NearestResult reference_scan(const Lattice& lattice,
+                             std::span<const NodeId> list, NodeId u,
+                             Rng& rng) {
+  Hop best = lattice.diameter() + 1;
+  ReservoirOne reservoir(rng);
+  for (const NodeId v : list) {
+    const Hop d = lattice.distance(u, v);
+    if (d < best) {
+      best = d;
+      reservoir = ReservoirOne(rng);
+      reservoir.offer(v);
+    } else if (d == best) {
+      reservoir.offer(v);
+    }
+  }
+  NearestResult result;
+  result.server = *reservoir.value();
+  result.distance = best;
+  result.ties = static_cast<std::uint32_t>(reservoir.count());
+  return result;
+}
+
+// Without grids, radius and unbounded streams emit the replica list's own
+// order filtered by distance, and the list scan draws exactly as a plain
+// scan, on both sides of the coordinate band's edge (|S_j| ≈ 150 ± 12
+// against 156 at n = 4096) and across the packed passes' stack chunks.
+TEST(ReplicaIndex, ListPassesKeepListOrderOnBothSidesOfTheCoordinateBand) {
+  for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
+    Fixture f(4096, 273, 10, wrap, 5, /*bucket_threshold=*/0);
+    const std::size_t n = f.lattice.size();
+    std::size_t in_band = 0;
+    std::size_t past_band = 0;
+    Rng stream(23);
+    for (FileId j = 0; j < 273; ++j) {
+      const auto list = f.placement.replicas(j);
+      if (list.empty()) continue;
+      ++(list.size() * list.size() <= ReplicaIndex::kReplayDensity * n
+             ? in_band
+             : past_band);
+      for (NodeId u = j % 61; u < n; u += 61) {
+        for (const Hop r : {0u, 3u, 8u, 20u, kUnboundedRadius}) {
+          std::vector<std::pair<NodeId, Hop>> got;
+          f.index.for_each_replica_within(
+              u, j, r, [&](NodeId v, Hop d) { got.emplace_back(v, d); });
+          std::vector<std::pair<NodeId, Hop>> want;
+          for (const NodeId v : list) {
+            const Hop d = f.lattice.distance(u, v);
+            if (d <= r) want.emplace_back(v, d);
+          }
+          ASSERT_EQ(got, want) << to_string(wrap) << " j=" << j
+                               << " u=" << u << " r=" << r;
+        }
+        stream.bits();
+        Rng scan_rng = stream;
+        Rng reference_rng = stream;
+        expect_same_nearest(f.index.nearest_by_scan(u, j, scan_rng),
+                            reference_scan(f.lattice, list, u, reference_rng));
+        ASSERT_EQ(scan_rng.bits(), reference_rng.bits())
+            << to_string(wrap) << " j=" << j << " u=" << u;
+      }
+    }
+    EXPECT_GT(in_band, 0u);
+    EXPECT_GT(past_band, 0u);
   }
 }
 
