@@ -13,13 +13,6 @@
 
 namespace proxcache {
 
-PlacementMode placement_mode_from_string(const std::string& name) {
-  if (name == "replacement") return PlacementMode::ProportionalWithReplacement;
-  if (name == "distinct") return PlacementMode::DistinctProportional;
-  throw std::invalid_argument("unknown placement mode '" + name +
-                              "' (expected 'replacement' or 'distinct')");
-}
-
 std::string to_string(PlacementMode mode) {
   return mode == PlacementMode::ProportionalWithReplacement ? "replacement"
                                                             : "distinct";

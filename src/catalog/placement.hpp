@@ -41,9 +41,6 @@ enum class PlacementMode : std::uint8_t {
   DistinctProportional,
 };
 
-/// Parse "replacement" / "distinct"; throws std::invalid_argument.
-PlacementMode placement_mode_from_string(const std::string& name);
-
 /// Human-readable mode name.
 std::string to_string(PlacementMode mode);
 

@@ -26,14 +26,6 @@ Popularity Popularity::zipf(std::size_t num_files, double gamma) {
   return Popularity(PopularityKind::Zipf, std::move(pmf), gamma);
 }
 
-Popularity Popularity::from_name(const std::string& name,
-                                 std::size_t num_files, double gamma) {
-  if (name == "uniform") return uniform(num_files);
-  if (name == "zipf") return zipf(num_files, gamma);
-  throw std::invalid_argument("unknown popularity '" + name +
-                              "' (expected 'uniform' or 'zipf')");
-}
-
 std::string Popularity::describe() const {
   if (kind_ == PopularityKind::Uniform) return "uniform";
   std::ostringstream os;

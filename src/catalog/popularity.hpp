@@ -30,10 +30,6 @@ class Popularity {
   /// `p_i = i^{-γ} / Λ(γ)` for rank `i = 1..K` (file id `i-1`).
   static Popularity zipf(std::size_t num_files, double gamma);
 
-  /// Parse "uniform" or "zipf" (the latter uses the supplied gamma).
-  static Popularity from_name(const std::string& name, std::size_t num_files,
-                              double gamma);
-
   [[nodiscard]] PopularityKind kind() const { return kind_; }
   [[nodiscard]] std::size_t num_files() const { return pmf_.size(); }
   [[nodiscard]] double gamma() const { return gamma_; }

@@ -26,14 +26,6 @@ Placement make(std::size_t n, std::size_t k, std::size_t m,
   return Placement::generate(n, Popularity::uniform(k), m, mode, rng);
 }
 
-TEST(Placement, ModeParsing) {
-  EXPECT_EQ(placement_mode_from_string("replacement"),
-            PlacementMode::ProportionalWithReplacement);
-  EXPECT_EQ(placement_mode_from_string("distinct"),
-            PlacementMode::DistinctProportional);
-  EXPECT_THROW(placement_mode_from_string("x"), std::invalid_argument);
-}
-
 TEST(Placement, NodeListsAreSortedDistinctAndBounded) {
   const Placement placement = make(100, 50, 8);
   for (NodeId u = 0; u < 100; ++u) {

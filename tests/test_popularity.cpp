@@ -42,15 +42,6 @@ TEST(Popularity, ZipfRatioMatchesRankPower) {
   EXPECT_NEAR(p.pmf(0) / p.pmf(3), std::pow(4.0, gamma), 1e-9);
 }
 
-TEST(Popularity, FromName) {
-  EXPECT_EQ(Popularity::from_name("uniform", 5, 0.0).kind(),
-            PopularityKind::Uniform);
-  EXPECT_EQ(Popularity::from_name("zipf", 5, 1.0).kind(),
-            PopularityKind::Zipf);
-  EXPECT_THROW(Popularity::from_name("pareto", 5, 1.0),
-               std::invalid_argument);
-}
-
 TEST(Popularity, RejectsBadArgs) {
   EXPECT_THROW(Popularity::uniform(0), std::invalid_argument);
   EXPECT_THROW(Popularity::zipf(0, 1.0), std::invalid_argument);
