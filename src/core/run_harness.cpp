@@ -65,8 +65,8 @@ RunHarness::RunHarness(const SimulationContext& context,
       sanitized(*source, context.horizon(), placement, context.popularity(),
                 context.config().missing, repair_rng),
       index(context.topology(), placement,
-            bucket_threshold(context.config().resolved_strategy(),
-                             context.topology())),
+            index_plan(context.config().resolved_strategy(),
+                       context.topology())),
       // Every strategy — the paper pair and any extension registered on the
       // global catalog — is constructed by the open registry from the
       // resolved spec; there is no enum dispatch. `with_defaults` validates

@@ -68,8 +68,8 @@ class RunHarness {
   Rng repair_rng;
   std::unique_ptr<TraceSource> source;
   SanitizingTraceSource sanitized;
-  /// Bucket grids only when the strategy queries a radius below the
-  /// diameter (`bucket_threshold`, strategy/registry.hpp).
+  /// Built for the passes the strategy declares (`index_plan`,
+  /// strategy/registry.hpp).
   ReplicaIndex index;
   StrategySpec spec;  ///< resolved strategy spec, registry defaults filled
   std::unique_ptr<Strategy> strategy;

@@ -95,7 +95,7 @@ DynamicResult run_dynamic(const DynamicConfig& config, std::uint64_t seed) {
                     "'stale' is a batch-simulator parameter (drop it or set "
                     "stale=1)");
   const ReplicaIndex index(*topology, placement,
-                           bucket_threshold(spec, *topology, registry));
+                           index_plan(spec, *topology, registry));
   const std::unique_ptr<Strategy> strategy =
       registry.at(spec.name).factory(spec, index, *topology, net);
 

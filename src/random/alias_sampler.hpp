@@ -19,11 +19,23 @@ class AliasSampler {
   /// Build from non-negative weights; at least one must be positive.
   explicit AliasSampler(const std::vector<double>& weights);
 
-  /// Draw one index with the configured probabilities.
-  [[nodiscard]] std::uint32_t sample(Rng& rng) const;
+  /// Draw one index with the configured probabilities: a uniform column,
+  /// kept with its acceptance probability p, else its alias. The keep test
+  /// is `rng.uniform() < p` as one integer compare (`Rng::uniform_bits`),
+  /// and the choice is a mask over two unconditional table reads, not a
+  /// branch on a coin flip: GCC sinks the alias read of
+  /// `keep ? column : alias` into a branch.
+  [[nodiscard]] std::uint32_t sample(Rng& rng) const {
+    const auto column =
+        static_cast<std::uint32_t>(rng.below(keep_below_.size()));
+    const bool keep = rng.uniform_bits() < keep_below_[column];
+    const std::uint32_t alias = alias_[column];
+    const std::uint32_t keep_mask = 0u - static_cast<std::uint32_t>(keep);
+    return alias ^ ((alias ^ column) & keep_mask);
+  }
 
   /// Number of categories K.
-  [[nodiscard]] std::size_t size() const { return prob_.size(); }
+  [[nodiscard]] std::size_t size() const { return keep_below_.size(); }
 
   /// Exact probability of category `i` as encoded by the alias table
   /// (reconstructed from the internal tables; used by tests to verify the
@@ -31,7 +43,8 @@ class AliasSampler {
   [[nodiscard]] std::vector<double> encoded_pmf() const;
 
  private:
-  std::vector<double> prob_;          // acceptance threshold per column
+  /// ceil(p·2^53) per column, for its acceptance probability p.
+  std::vector<std::uint64_t> keep_below_;
   std::vector<std::uint32_t> alias_;  // alias target per column
 };
 

@@ -106,21 +106,4 @@ class PackedDistance {
   std::int32_t period_;
 };
 
-/// Invoke `fn(ids[i], d_i)` for every i in order, where `d_i` is the
-/// distance to `coords[i]`. Distances are computed a stack chunk at a time
-/// by `PackedDistance::fill`, then offered one by one, so a caller's draws,
-/// ties and candidate order are those of a plain pass over `ids`.
-template <typename Fn>
-void for_each_packed_distance(std::span<const NodeId> ids,
-                              std::span<const PackedCoord> coords,
-                              const PackedDistance& distance, Fn&& fn) {
-  constexpr std::size_t kChunk = 64;
-  Hop d[kChunk] = {};
-  for (std::size_t base = 0; base < ids.size(); base += kChunk) {
-    const std::size_t len = std::min(kChunk, ids.size() - base);
-    distance.fill(coords.subspan(base, len), d);
-    for (std::size_t i = 0; i < len; ++i) fn(ids[base + i], d[i]);
-  }
-}
-
 }  // namespace proxcache

@@ -7,8 +7,11 @@
 namespace proxcache {
 
 ReplicaIndex::ReplicaIndex(const Topology& topology,
-                           const Placement& placement,
-                           std::size_t bucket_threshold)
+                           const Placement& placement)
+    : ReplicaIndex(topology, placement, Plan{}) {}
+
+ReplicaIndex::ReplicaIndex(const Topology& topology,
+                           const Placement& placement, Plan plan)
     : topology_(&topology),
       lattice_(topology.as_lattice()),
       placement_(&placement) {
@@ -20,24 +23,30 @@ ReplicaIndex::ReplicaIndex(const Topology& topology,
   PROXCACHE_REQUIRE(lattice_->side() <= kMaxPackedSide,
                     "lattice side exceeds the packed coordinate range");
   const std::size_t files = placement.num_files();
-  if (bucket_threshold != 0) {
+  if (plan.bucket_threshold != 0) {
     grids_ = BucketGrids(
         *lattice_, files,
         [&placement](std::size_t j) {
           return placement.replicas(static_cast<FileId>(j));
         },
-        bucket_threshold);
+        plan.bucket_threshold);
   }
-  // Coordinates for the files whose list passes nearest() and the radius
-  // streams run: inside the list replay's band and without a grid.
+  // Coordinates for the files whose lists the run's passes scan: every
+  // file without a grid, or only those nearest() scans or replays.
   const std::size_t n = topology.size();
+  const auto keeps_coordinates = [&](FileId j, std::size_t count) {
+    if (plan.coordinates == Coordinates::None || grids_.has_grid(j)) {
+      return false;
+    }
+    return plan.coordinates == Coordinates::WithoutGrid ||
+           count * count <= kReplayDensity * n;
+  };
   coord_offsets_.assign(files + 1, 0);
   for (FileId j = 0; j < files; ++j) {
     const std::size_t count = placement.replica_count(j);
-    const bool scanned =
-        count * count <= kReplayDensity * n && !grids_.has_grid(j);
     coord_offsets_[j + 1] =
-        coord_offsets_[j] + static_cast<std::uint32_t>(scanned ? count : 0);
+        coord_offsets_[j] +
+        static_cast<std::uint32_t>(keeps_coordinates(j, count) ? count : 0);
   }
   coords_.resize(coord_offsets_[files]);
   const Divider by_side(static_cast<std::uint32_t>(lattice_->side()));

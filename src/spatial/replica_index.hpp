@@ -40,19 +40,25 @@
 /// bucket_grid.hpp; built for files with large `|S_j|` — lattice
 /// topologies only, the grid is a coordinate structure).
 ///
-/// On lattices the index keeps packed 16-bit (x, y) coordinates
-/// (spatial/packed_coord.hpp) in one flat array, reached through per-file
-/// offsets, for every file with `|S_j|² <= kReplayDensity·n` and no bucket
-/// grid: the files `nearest()` answers by the list scan or the list
-/// replay, whose radius and unbounded streams scan the list too. Those
-/// passes compute a stack chunk of distances in one branch-free, vectorized
-/// pass, then run their unchanged reservoir, tie or radius pass over the
-/// chunk in list order, so every draw, tie and candidate order is that of a
-/// plain scan, with no division per replica. Files outside that band scan
-/// through `Lattice::distance_from` (one coordinate division per replica).
-/// The bucket grids store packed coordinates too, all files' grids in one
-/// flat CSR. The row replay knows each row y and its row distance k, so a
-/// replica's distance is `axis(x0, v − y·side) + k`.
+/// Every list pass — the list scan, the list replay's draw-free pass, the
+/// radius and unbounded streams — runs on one chunked pass,
+/// `for_each_distance_chunk`, which hands the caller 64 replicas and their
+/// distances at a time, in list order. On lattices the index keeps packed
+/// 16-bit (x, y) coordinates (spatial/packed_coord.hpp) in one flat array,
+/// reached through per-file offsets, for the files its `Plan` names: every
+/// file without a bucket grid when the run streams replica lists
+/// (`prox-weighted`, `least-loaded`, `two-choice` below the diameter, and
+/// the default plan), only those with `|S_j|² <= kReplayDensity·n` and no
+/// grid — the files `nearest()` answers by the list scan or the list
+/// replay — when it only asks `nearest()`, and none when it only samples
+/// the lists. A file with coordinates gets a chunk's distances from one
+/// branch-free, vectorized pass, with no division per replica; any other
+/// file through `Lattice::distance_from` (one coordinate division per
+/// replica) or the topology. Either way every draw, tie and candidate
+/// order is that of a plain scan. The bucket grids store packed
+/// coordinates too, all files' grids in one flat CSR. The row replay knows
+/// each row y and its row distance k, so a replica's distance is
+/// `axis(x0, v − y·side) + k`.
 
 #include <algorithm>
 #include <cstdint>
@@ -118,11 +124,30 @@ class ReplicaIndex {
   /// the run asks for none.
   static constexpr std::size_t kBucketThreshold = 512;
 
-  /// Build the index. On lattice topologies, files with at least
-  /// `bucket_threshold` replicas get a bucket grid for radius queries
-  /// (0 disables bucket grids; non-lattice topologies never build them).
+  /// Which lattice files keep packed coordinates.
+  enum class Coordinates : std::uint8_t {
+    None,         ///< none (the run only samples replica lists)
+    InBand,       ///< `|S_j|² <= kReplayDensity·n` and no bucket grid
+    WithoutGrid,  ///< every file without a bucket grid
+  };
+
+  /// What the index builds beside the replica lists; lattices only, other
+  /// topologies answer every query through their distance oracle. The
+  /// default serves every pass. `index_plan` (strategy/registry.hpp)
+  /// derives a run's plan from the passes its strategy declares.
+  struct Plan {
+    /// Replica count from which a file gets a bucket grid for radius
+    /// queries (0: none).
+    std::size_t bucket_threshold = kBucketThreshold;
+    Coordinates coordinates = Coordinates::WithoutGrid;
+  };
+
+  /// Build the index with the default plan.
+  ReplicaIndex(const Topology& topology, const Placement& placement);
+
+  /// Build the index with what `plan` asks for.
   ReplicaIndex(const Topology& topology, const Placement& placement,
-               std::size_t bucket_threshold = kBucketThreshold);
+               Plan plan);
 
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   [[nodiscard]] const Placement& placement() const { return *placement_; }
@@ -212,9 +237,56 @@ class ReplicaIndex {
   [[nodiscard]] std::size_t count_replicas_within(NodeId u, FileId j,
                                                   Hop r) const;
 
+  /// Replicas per chunk of `for_each_distance_chunk`.
+  static constexpr std::size_t kDistanceChunk = 64;
+
+  /// Invoke `fn(ids, distances)` over the replica list of `j` in list
+  /// order, `kDistanceChunk` replicas at a time (the last chunk shorter):
+  /// `ids` is the next run of the list and `distances[i]` the hop distance
+  /// from `u` to `ids[i]`; both spans end with the call. Where the file has
+  /// packed coordinates one vectorized pass computes a chunk's distances.
+  /// Elsewhere each comes from the lattice kernel (devirtualized — Lattice
+  /// is final) or the topology, queried in list order, so a sparse oracle
+  /// sees the queries of a plain scan.
+  template <typename Fn>
+  void for_each_distance_chunk(NodeId u, FileId j, Fn&& fn) const {
+    const auto list = placement_->replicas(j);
+    const auto per_replica = [&](const auto& distance) {
+      for_each_chunk(
+          list,
+          [&](std::size_t base, std::span<Hop> out) {
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              out[i] = distance(list[base + i]);
+            }
+          },
+          fn);
+    };
+    if (lattice_ == nullptr) {
+      per_replica(detail::distances_from(*topology_, u));
+      return;
+    }
+    const auto coords = coords_of(j);
+    if (coords.size() != list.size()) {
+      per_replica(detail::distances_from(*lattice_, u));
+      return;
+    }
+    const PackedDistance distance(*lattice_, lattice_->coord(u));
+    for_each_chunk(
+        list,
+        [&](std::size_t base, std::span<Hop> out) {
+          distance.fill(coords.subspan(base, out.size()), out);
+        },
+        fn);
+  }
+
   /// True iff file `j` has a bucket grid (exposed for tests/benches).
   [[nodiscard]] bool has_bucket_grid(FileId j) const {
     return grids_.has_grid(j);
+  }
+
+  /// True iff file `j` keeps packed coordinates (exposed for tests).
+  [[nodiscard]] bool has_coordinates(FileId j) const {
+    return lattice_ != nullptr && !coords_of(j).empty();
   }
 
  private:
@@ -226,27 +298,31 @@ class ReplicaIndex {
   NearestResult replay_walk(NodeId u, FileId j, const ShellTies& ties,
                             Rng& rng) const;
 
+  /// The loop of `for_each_distance_chunk`: `fill(base, out)` writes the
+  /// distances of `list[base, base + out.size())` to `out`.
+  template <typename Fill, typename Fn>
+  static void for_each_chunk(std::span<const NodeId> list, const Fill& fill,
+                             Fn& fn) {
+    Hop distances[kDistanceChunk] = {};
+    for (std::size_t base = 0; base < list.size(); base += kDistanceChunk) {
+      const std::size_t len = std::min(kDistanceChunk, list.size() - base);
+      const std::span<Hop> out(distances, len);
+      fill(base, out);
+      fn(list.subspan(base, len), std::span<const Hop>(out));
+    }
+  }
+
   /// Invoke `fn(v, d)` for every replica `v` of `j` in list order, with
-  /// `d` its distance from `u`: from packed coordinates a chunk at a time
-  /// where the file has them, else through the lattice kernel (the concrete
-  /// lattice type, devirtualized — Lattice is final) or the topology.
+  /// `d` its distance from `u`: the chunked pass, one replica at a time.
   template <typename Fn>
   void for_each_distance(NodeId u, FileId j, Fn&& fn) const {
-    const auto list = placement_->replicas(j);
-    if (lattice_ == nullptr) {
-      const auto distance = detail::distances_from(*topology_, u);
-      for (const NodeId v : list) fn(v, distance(v));
-      return;
-    }
-    const auto coords = coords_of(j);
-    if (coords.size() != list.size()) {
-      const auto distance = detail::distances_from(*lattice_, u);
-      for (const NodeId v : list) fn(v, distance(v));
-      return;
-    }
-    for_each_packed_distance(list, coords,
-                             PackedDistance(*lattice_, lattice_->coord(u)),
-                             std::forward<Fn>(fn));
+    for_each_distance_chunk(u, j,
+                            [&fn](std::span<const NodeId> ids,
+                                  std::span<const Hop> distances) {
+                              for (std::size_t i = 0; i < ids.size(); ++i) {
+                                fn(ids[i], distances[i]);
+                              }
+                            });
   }
 
   /// The replica-list stream: every replica within `r` of `u`
@@ -269,7 +345,7 @@ class ReplicaIndex {
   const Placement* placement_;
   BucketGrids grids_;
   std::vector<std::uint32_t> coord_offsets_;  ///< K + 1 on lattices
-  std::vector<PackedCoord> coords_;           ///< in-band files, file by file
+  std::vector<PackedCoord> coords_;  ///< the plan's files, file by file
 };
 
 }  // namespace proxcache

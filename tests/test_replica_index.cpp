@@ -2,7 +2,7 @@
 // each other and with brute force (distance and tie count), both shell
 // replays must equal the shell walk draw for draw, radius streams must
 // match the distance predicate with and without bucket grids, and a run
-// builds grids only when its strategy queries a radius below the diameter.
+// builds only the grids and coordinates its strategy's passes read.
 #include "spatial/replica_index.hpp"
 
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ struct Fixture {
               n, Popularity::uniform(k), m,
               PlacementMode::ProportionalWithReplacement, rng);
         }()),
-        index(lattice, placement, bucket_threshold) {}
+        index(lattice, placement, ReplicaIndex::Plan{bucket_threshold}) {}
 
   Lattice lattice;
   Placement placement;
@@ -369,44 +369,54 @@ NearestResult reference_scan(const Lattice& lattice,
 // Without grids, radius and unbounded streams emit the replica list's own
 // order filtered by distance, and the list scan draws exactly as a plain
 // scan, on both sides of the coordinate band's edge (|S_j| ≈ 150 ± 12
-// against 156 at n = 4096) and across the packed passes' stack chunks.
+// against 156 at n = 4096) and across the chunks, whether a file's
+// distances come from packed coordinates or from the lattice kernel.
 TEST(ReplicaIndex, ListPassesKeepListOrderOnBothSidesOfTheCoordinateBand) {
+  using Coordinates = ReplicaIndex::Coordinates;
   for (const Wrap wrap : {Wrap::Torus, Wrap::Grid}) {
     Fixture f(4096, 273, 10, wrap, 5, /*bucket_threshold=*/0);
     const std::size_t n = f.lattice.size();
-    std::size_t in_band = 0;
-    std::size_t past_band = 0;
-    Rng stream(23);
-    for (FileId j = 0; j < 273; ++j) {
-      const auto list = f.placement.replicas(j);
-      if (list.empty()) continue;
-      ++(list.size() * list.size() <= ReplicaIndex::kReplayDensity * n
-             ? in_band
-             : past_band);
-      for (NodeId u = j % 61; u < n; u += 61) {
-        for (const Hop r : {0u, 3u, 8u, 20u, kUnboundedRadius}) {
-          std::vector<std::pair<NodeId, Hop>> got;
-          f.index.for_each_replica_within(
-              u, j, r, [&](NodeId v, Hop d) { got.emplace_back(v, d); });
-          std::vector<std::pair<NodeId, Hop>> want;
-          for (const NodeId v : list) {
-            const Hop d = f.lattice.distance(u, v);
-            if (d <= r) want.emplace_back(v, d);
+    for (const Coordinates coordinates :
+         {Coordinates::WithoutGrid, Coordinates::InBand, Coordinates::None}) {
+      const ReplicaIndex index(f.lattice, f.placement, {0, coordinates});
+      std::size_t in_band = 0;
+      std::size_t past_band = 0;
+      Rng stream(23);
+      for (FileId j = 0; j < 273; ++j) {
+        const auto list = f.placement.replicas(j);
+        if (list.empty()) continue;
+        const bool band =
+            list.size() * list.size() <= ReplicaIndex::kReplayDensity * n;
+        ++(band ? in_band : past_band);
+        ASSERT_EQ(index.has_coordinates(j),
+                  coordinates == Coordinates::WithoutGrid ||
+                      (coordinates == Coordinates::InBand && band));
+        for (NodeId u = j % 61; u < n; u += 61) {
+          for (const Hop r : {0u, 3u, 8u, 20u, kUnboundedRadius}) {
+            std::vector<std::pair<NodeId, Hop>> got;
+            index.for_each_replica_within(
+                u, j, r, [&](NodeId v, Hop d) { got.emplace_back(v, d); });
+            std::vector<std::pair<NodeId, Hop>> want;
+            for (const NodeId v : list) {
+              const Hop d = f.lattice.distance(u, v);
+              if (d <= r) want.emplace_back(v, d);
+            }
+            ASSERT_EQ(got, want) << to_string(wrap) << " j=" << j
+                                 << " u=" << u << " r=" << r;
           }
-          ASSERT_EQ(got, want) << to_string(wrap) << " j=" << j
-                               << " u=" << u << " r=" << r;
+          stream.bits();
+          Rng scan_rng = stream;
+          Rng reference_rng = stream;
+          expect_same_nearest(
+              index.nearest_by_scan(u, j, scan_rng),
+              reference_scan(f.lattice, list, u, reference_rng));
+          ASSERT_EQ(scan_rng.bits(), reference_rng.bits())
+              << to_string(wrap) << " j=" << j << " u=" << u;
         }
-        stream.bits();
-        Rng scan_rng = stream;
-        Rng reference_rng = stream;
-        expect_same_nearest(f.index.nearest_by_scan(u, j, scan_rng),
-                            reference_scan(f.lattice, list, u, reference_rng));
-        ASSERT_EQ(scan_rng.bits(), reference_rng.bits())
-            << to_string(wrap) << " j=" << j << " u=" << u;
       }
+      EXPECT_GT(in_band, 0u);
+      EXPECT_GT(past_band, 0u);
     }
-    EXPECT_GT(in_band, 0u);
-    EXPECT_GT(past_band, 0u);
   }
 }
 
@@ -443,15 +453,17 @@ TEST(ReplicaIndex, BucketGridsBuiltOnlyAboveThreshold) {
   }
 }
 
-// Only a radius below the diameter reads a bucket grid, so a run builds
-// grids only when its strategy declares such a radius. Every file of this
-// placement holds at least kBucketThreshold replicas.
-TEST(ReplicaIndex, RunsBuildBucketGridsOnlyForAFiniteRadius) {
-  const char* const undeclared = "test-undeclared-radius";
+// A run builds only what its strategy's declared passes read: bucket grids
+// for a streamed radius below the diameter; packed coordinates for every
+// file without a grid when it streams lists, for the in-band files
+// (|S_j|² <= 6n) when it only asks nearest(), none when it only samples.
+// The Zipf placement puts files on every side of both cut-offs.
+TEST(ReplicaIndex, RunsBuildOnlyTheGridsAndCoordinatesTheirPassesRead) {
+  const char* const undeclared = "test-undeclared-passes";
   if (StrategyRegistry::global().find(undeclared) == nullptr) {
     StrategyRegistry::global().add(
         {undeclared,
-         "test-only: nearest replica, no query radius declared",
+         "test-only: nearest replica, no index passes declared",
          {},
          [](const StrategySpec&, const ReplicaIndex& index, const Topology&,
             const ExperimentConfig&) -> std::unique_ptr<Strategy> {
@@ -460,29 +472,63 @@ TEST(ReplicaIndex, RunsBuildBucketGridsOnlyForAFiniteRadius) {
   }
   ExperimentConfig config;
   config.topology_spec = parse_topology_spec("torus(side=40)");
-  config.num_files = 20;
+  config.num_files = 200;
   config.cache_size = 10;
-  const auto grids_of = [&](const std::string& strategy) {
-    config.strategy_spec = parse_strategy_spec(strategy);
+  config.popularity.kind = PopularityKind::Zipf;
+  config.popularity.gamma = 1.0;
+  using Coordinates = ReplicaIndex::Coordinates;
+  struct Case {
+    const char* strategy;
+    bool grids;
+    Coordinates coordinates;
+  };
+  for (const Case& c : std::initializer_list<Case>{
+           {"nearest", false, Coordinates::InBand},
+           {"two-choice", false, Coordinates::None},
+           {"two-choice(r=inf)", false, Coordinates::None},
+           {"two-choice(r=40)", false, Coordinates::None},
+           {"cross-two-choice", false, Coordinates::None},
+           {"prox-weighted", false, Coordinates::WithoutGrid},
+           {"least-loaded", false, Coordinates::WithoutGrid},
+           {"least-loaded(r=8)", true, Coordinates::WithoutGrid},
+           {"two-choice(r=8)", true, Coordinates::WithoutGrid},
+           {"two-choice(r=39)", true, Coordinates::WithoutGrid},
+           {undeclared, true, Coordinates::WithoutGrid}}) {
+    config.strategy_spec = parse_strategy_spec(c.strategy);
+    // The cross-tier entries refuse a flat run, so only their plan is
+    // checked.
+    const ReplicaIndex::Plan plan =
+        index_plan(config.strategy_spec, Lattice(40, Wrap::Torus));
+    EXPECT_EQ(plan.bucket_threshold != 0, c.grids) << c.strategy;
+    EXPECT_EQ(plan.coordinates, c.coordinates) << c.strategy;
+    if (StrategyRegistry::global().at(config.strategy_spec.name)
+            .requires_tiers) {
+      continue;
+    }
     const SimulationContext context(config);
     const RunHarness harness(context, 0);
-    std::size_t grids = 0;
+    const std::size_t n = harness.placement.num_nodes();
+    std::size_t gridded = 0;
+    std::size_t past_band = 0;
+    std::size_t in_band = 0;
     for (FileId j = 0; j < config.num_files; ++j) {
-      EXPECT_GE(harness.placement.replica_count(j),
-                ReplicaIndex::kBucketThreshold);
-      grids += harness.index.has_bucket_grid(j) ? 1 : 0;
+      const std::size_t count = harness.placement.replica_count(j);
+      const bool grid = c.grids && count >= ReplicaIndex::kBucketThreshold;
+      const bool band = count * count <= ReplicaIndex::kReplayDensity * n;
+      bool coordinates = count > 0 && !grid;
+      if (c.coordinates == Coordinates::InBand) coordinates &= band;
+      if (c.coordinates == Coordinates::None) coordinates = false;
+      EXPECT_EQ(harness.index.has_bucket_grid(j), grid)
+          << c.strategy << " file " << j << " count " << count;
+      EXPECT_EQ(harness.index.has_coordinates(j), coordinates)
+          << c.strategy << " file " << j << " count " << count;
+      gridded += count >= ReplicaIndex::kBucketThreshold ? 1 : 0;
+      past_band += !band && count < ReplicaIndex::kBucketThreshold ? 1 : 0;
+      in_band += band && count > 0 ? 1 : 0;
     }
-    return grids;
-  };
-  for (const std::string strategy :
-       {"nearest", "two-choice", "prox-weighted", "two-choice(r=inf)",
-        "two-choice(r=40)"}) {
-    EXPECT_EQ(grids_of(strategy), 0u) << strategy;
-  }
-  for (const std::string strategy :
-       {"least-loaded(r=8)", "two-choice(r=8)", "two-choice(r=39)",
-        undeclared}) {
-    EXPECT_EQ(grids_of(strategy), config.num_files) << strategy;
+    EXPECT_GE(gridded, 2u);
+    EXPECT_GE(past_band, 2u);
+    EXPECT_GE(in_band, 2u);
   }
 }
 

@@ -424,10 +424,59 @@ TEST(ProxWeightedStrategy, SingleChoiceServesEveryRequest) {
   EXPECT_EQ(result.fallbacks, 0u);
 }
 
-// Every proposal weight must be the std::pow double itself, whether it
-// comes from the weight table or, past it, from std::pow: hops above the
-// table (a ring longer than it) and above diameter() (a landmark upper
-// bound on a sparse graph) included.
+/// The window and total a proposal must hold: one left-to-right pass over
+/// the replica list, weighing each `topology.distance` by `std::pow`.
+void expect_reference_window(const Topology& topology,
+                             const Placement& placement,
+                             const Request& request,
+                             const CandidateArena& arena,
+                             const Proposal& proposal, double alpha) {
+  const auto list = placement.replicas(request.file);
+  ASSERT_EQ(proposal.count, list.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const Hop hops = topology.distance(request.origin, list[i]);
+    const double weight = std::pow(1.0 + static_cast<double>(hops), -alpha);
+    const ProposedCandidate& c = arena[proposal.first + i];
+    ASSERT_EQ(c.node, list[i]) << topology.describe() << " i=" << i;
+    ASSERT_EQ(c.hops, hops) << topology.describe() << " i=" << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(c.weight),
+              std::bit_cast<std::uint64_t>(weight))
+        << topology.describe() << " hops=" << hops;
+    total += weight;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(proposal.total_weight),
+            std::bit_cast<std::uint64_t>(total))
+      << topology.describe() << " file " << request.file;
+}
+
+/// Propose every request into one arena, as a sharded lane does, and check
+/// each window against the reference, and the previous window again after
+/// the next proposal.
+void expect_reference_windows(const ReplicaIndex& index,
+                              const std::vector<Request>& requests,
+                              double alpha) {
+  ProxWeightedStrategy strategy(index, {.num_choices = 2, .alpha = alpha});
+  CandidateArena arena;
+  Rng rng(3);
+  Proposal previous;
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    Proposal proposal;
+    strategy.propose(requests[k], rng, arena, proposal);
+    expect_reference_window(index.topology(), index.placement(), requests[k],
+                            arena, proposal, alpha);
+    if (k > 0) {
+      expect_reference_window(index.topology(), index.placement(),
+                              requests[k - 1], arena, previous, alpha);
+    }
+    previous = proposal;
+  }
+}
+
+// Every proposal must hold the list pass's window: each weight the
+// std::pow double itself, whether it comes from the weight table or, past
+// it, from std::pow — hops above the table (a ring longer than it) and
+// above diameter() (a landmark upper bound on a sparse graph) included.
 TEST(ProxWeightedStrategy, ProposalWeightsAreStdPowBitForBit) {
   const RingTopology ring(2 * ProxWeightedStrategy::kWeightTableHops + 3000);
   ASSERT_GT(ring.diameter(), ProxWeightedStrategy::kWeightTableHops);
@@ -447,32 +496,74 @@ TEST(ProxWeightedStrategy, ProposalWeightsAreStdPowBitForBit) {
         topology->size(), Popularity::uniform(8), 1,
         PlacementMode::ProportionalWithReplacement, rng);
     const ReplicaIndex index(*topology, placement);
+    std::vector<Request> requests;
     std::size_t above_table = 0;
     std::size_t above_diameter = 0;
-    for (const double alpha : {1.0, 2.5}) {
-      ProxWeightedStrategy strategy(index, {.num_choices = 2, .alpha = alpha});
-      CandidateArena arena;
-      for (NodeId origin = 0; origin < topology->size(); origin += 461) {
-        const Request request{origin, origin % 8};
-        Proposal proposal;
-        strategy.propose(request, rng, arena, proposal);
-        ASSERT_EQ(proposal.count, placement.replica_count(request.file));
-        for (std::uint32_t i = 0; i < proposal.count; ++i) {
-          const ProposedCandidate& c = arena[proposal.first + i];
-          const double expected =
-              std::pow(1.0 + static_cast<double>(c.hops), -alpha);
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(c.weight),
-                    std::bit_cast<std::uint64_t>(expected))
-              << topology->describe() << " hops=" << c.hops;
-          if (c.hops > ProxWeightedStrategy::kWeightTableHops) ++above_table;
-          if (c.hops > topology->diameter()) ++above_diameter;
-        }
+    for (NodeId origin = 0; origin < topology->size(); origin += 461) {
+      requests.push_back({origin, origin % 8});
+      for (const NodeId v : placement.replicas(origin % 8)) {
+        const Hop hops = topology->distance(origin, v);
+        if (hops > ProxWeightedStrategy::kWeightTableHops) ++above_table;
+        if (hops > topology->diameter()) ++above_diameter;
       }
+    }
+    for (const double alpha : {1.0, 2.5}) {
+      expect_reference_windows(index, requests, alpha);
     }
     if (topology == &ring) {
       EXPECT_GT(above_table, 0u) << "no hop beyond the weight table";
     } else {
       EXPECT_GT(above_diameter, 0u) << "no landmark answer above diameter()";
+    }
+  }
+
+  // On lattices the proposal comes from the index's chunks of 64: packed
+  // coordinates where the plan keeps them, the lattice kernel elsewhere.
+  // The files cover lists one short of, at and one past a chunk, past two
+  // chunks inside the coordinate band (|S_j|² <= 6n), past the band, and
+  // with a bucket grid (no coordinates under the default plan).
+  using Coordinates = ReplicaIndex::Coordinates;
+  for (const Lattice& lattice :
+       {Lattice(100, Wrap::Torus), Lattice(90, Wrap::Grid)}) {
+    Rng rng(11);
+    const Placement placement = Placement::generate(
+        lattice.size(), Popularity::zipf(2000, 0.8), 10,
+        PlacementMode::ProportionalWithReplacement, rng);
+    const std::size_t band = ReplicaIndex::kReplayDensity * lattice.size();
+    const auto first_file = [&](auto&& wanted) {
+      for (FileId j = 0; j < placement.num_files(); ++j) {
+        if (wanted(placement.replica_count(j))) return j;
+      }
+      ADD_FAILURE() << lattice.describe() << ": no file of the wanted length";
+      return FileId{0};
+    };
+    const std::vector<FileId> files = {
+        first_file([](std::size_t c) { return c == 63; }),
+        first_file([](std::size_t c) { return c == 64; }),
+        first_file([](std::size_t c) { return c == 65; }),
+        first_file([&](std::size_t c) { return c > 128 && c * c <= band; }),
+        first_file([&](std::size_t c) {
+          return c * c > band && c < ReplicaIndex::kBucketThreshold;
+        }),
+        first_file(
+            [](std::size_t c) { return c >= ReplicaIndex::kBucketThreshold; }),
+    };
+    std::vector<Request> requests;
+    for (const FileId j : files) {
+      for (const NodeId origin : {NodeId{0}, static_cast<NodeId>(
+                                                 lattice.size() / 2 + 7),
+                                  static_cast<NodeId>(lattice.size() - 1)}) {
+        requests.push_back({origin, j});
+      }
+    }
+    for (const Coordinates coordinates :
+         {Coordinates::WithoutGrid, Coordinates::InBand, Coordinates::None}) {
+      const ReplicaIndex index(
+          lattice, placement,
+          {ReplicaIndex::kBucketThreshold, coordinates});
+      for (const double alpha : {1.0, 2.5}) {
+        expect_reference_windows(index, requests, alpha);
+      }
     }
   }
 }
