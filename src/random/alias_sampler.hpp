@@ -21,17 +21,14 @@ class AliasSampler {
 
   /// Draw one index with the configured probabilities: a uniform column,
   /// kept with its acceptance probability p, else its alias. The keep test
-  /// is `rng.uniform() < p` as one integer compare (`Rng::uniform_bits`),
-  /// and the choice is a mask over two unconditional table reads, not a
-  /// branch on a coin flip: GCC sinks the alias read of
-  /// `keep ? column : alias` into a branch.
+  /// is `rng.uniform() < p` as one integer compare (`Rng::uniform_bits`).
+  /// The choice stays a branch: a uniform catalog keeps every column, so
+  /// it never mispredicts, and a mask select read slower on the sharded
+  /// engine, whose one fill thread makes every draw.
   [[nodiscard]] std::uint32_t sample(Rng& rng) const {
     const auto column =
         static_cast<std::uint32_t>(rng.below(keep_below_.size()));
-    const bool keep = rng.uniform_bits() < keep_below_[column];
-    const std::uint32_t alias = alias_[column];
-    const std::uint32_t keep_mask = 0u - static_cast<std::uint32_t>(keep);
-    return alias ^ ((alias ^ column) & keep_mask);
+    return rng.uniform_bits() < keep_below_[column] ? column : alias_[column];
   }
 
   /// Number of categories K.
