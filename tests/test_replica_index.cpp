@@ -138,15 +138,18 @@ INSTANTIATE_TEST_SUITE_P(
 // `nearest()` must likewise equal the scan at |S_j|² <= n and the walk
 // above it, whichever of its three paths answers there (list replay, row
 // replay or the walk itself), which is what keeps the golden masters
-// unchanged. Parameters: wrap, side, M and K. The K = 200 layouts at side
-// 64 put every file past the list replay's band and under n /
-// kRowReplaySpacing, so `nearest()` runs the row replay there; the M = 8
-// layouts at side 7 and above are past it but denser than that, so
-// `nearest()` walks.
+// unchanged. Each layout runs under the three coordinate plans: in-band
+// coordinates (the plan a `nearest` run builds), coordinates for every
+// file (a streaming run's, whose fallback asks `nearest()`) and none.
+// Parameters: wrap, side, M and K. The K = 200 layouts at side 64 put every
+// file past the list replay's band and under n / kRowReplaySpacing, so
+// `nearest()` runs the row replay there; the M = 8 layouts at side 7 and
+// above are past it but denser than that, so `nearest()` walks.
 class ReplayParamTest
     : public ::testing::TestWithParam<std::tuple<Wrap, int, int, int>> {};
 
 TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
+  using Coordinates = ReplicaIndex::Coordinates;
   const auto [wrap, side, m, k] = GetParam();
   const auto n =
       static_cast<std::size_t>(side) * static_cast<std::size_t>(side);
@@ -154,58 +157,73 @@ TEST_P(ReplayParamTest, ReplayMatchesTheWalkDrawForDraw) {
   Fixture f(n, files, static_cast<std::size_t>(m), wrap, 91 + side);
   // Every origin on the small lattices; a spread of them on the large one.
   const NodeId stride = n > 256 ? 31 : 1;
-  Rng stream(17);
-  std::size_t multi_ties = 0;
   std::size_t row_band_files = 0;
-  std::size_t coordinate_band_files = 0;
   for (FileId j = 0; j < files; ++j) {
     const std::size_t replicas = f.placement.replica_count(j);
     if (replicas * replicas > ReplicaIndex::kReplayDensity * n &&
         replicas * ReplicaIndex::kRowReplaySpacing <= n) {
       ++row_band_files;
     }
-    if (replicas * replicas <= ReplicaIndex::kReplayDensity * n) {
-      ++coordinate_band_files;
-    }
-  }
-  for (NodeId u = 0; u < n; u += stride) {
-    for (FileId j = 0; j < files; ++j) {
-      stream.bits();
-      Rng walk_rng = stream;
-      Rng replay_rng = stream;
-      Rng rows_rng = stream;
-      const NearestResult walk = f.index.nearest_by_shells(u, j, walk_rng);
-      const NearestResult replay = f.index.nearest_by_replay(u, j, replay_rng);
-      const NearestResult rows = f.index.nearest_by_rows(u, j, rows_rng);
-      expect_same_nearest(replay, walk);
-      expect_same_nearest(rows, walk);
-      const std::uint64_t next = walk_rng.bits();
-      EXPECT_EQ(replay_rng.bits(), next) << "u=" << u << " j=" << j;
-      EXPECT_EQ(rows_rng.bits(), next) << "u=" << u << " j=" << j;
-      if (walk.ties >= 2) ++multi_ties;
-
-      const std::size_t replicas = f.placement.replica_count(j);
-      Rng reference_rng = stream;
-      Rng automatic_rng = stream;
-      const NearestResult reference =
-          replicas * replicas <= n
-              ? f.index.nearest_by_scan(u, j, reference_rng)
-              : f.index.nearest_by_shells(u, j, reference_rng);
-      const NearestResult automatic = f.index.nearest(u, j, automatic_rng);
-      expect_same_nearest(automatic, reference);
-      EXPECT_EQ(automatic_rng.bits(), reference_rng.bits())
-          << "u=" << u << " j=" << j;
-    }
-  }
-  if (side >= 7) {
-    EXPECT_GT(multi_ties, 0u) << "no tie set was exercised";
   }
   if (k == 200) {
     EXPECT_EQ(row_band_files, files) << "a file fell outside the row band";
   }
-  if (k == 131) {
-    EXPECT_GT(coordinate_band_files, 0u) << "no file with coordinates";
-    EXPECT_LT(coordinate_band_files, files) << "no file past their band";
+  for (const Coordinates coordinates :
+       {Coordinates::InBand, Coordinates::WithoutGrid, Coordinates::None}) {
+    const ReplicaIndex index(f.lattice, f.placement, {0, coordinates});
+    const auto plan = static_cast<int>(coordinates);
+    std::size_t with_coordinates = 0;
+    std::size_t without_coordinates = 0;
+    for (FileId j = 0; j < files; ++j) {
+      const std::size_t replicas = f.placement.replica_count(j);
+      if (replicas == 0) continue;
+      const bool band = replicas * replicas <= ReplicaIndex::kReplayDensity * n;
+      ASSERT_EQ(index.has_coordinates(j),
+                coordinates == Coordinates::WithoutGrid ||
+                    (coordinates == Coordinates::InBand && band))
+          << "plan " << plan << " j=" << j;
+      ++(index.has_coordinates(j) ? with_coordinates : without_coordinates);
+    }
+    Rng stream(17);
+    std::size_t multi_ties = 0;
+    for (NodeId u = 0; u < n; u += stride) {
+      for (FileId j = 0; j < files; ++j) {
+        stream.bits();
+        Rng walk_rng = stream;
+        Rng replay_rng = stream;
+        Rng rows_rng = stream;
+        const NearestResult walk = index.nearest_by_shells(u, j, walk_rng);
+        const NearestResult replay = index.nearest_by_replay(u, j, replay_rng);
+        const NearestResult rows = index.nearest_by_rows(u, j, rows_rng);
+        expect_same_nearest(replay, walk);
+        expect_same_nearest(rows, walk);
+        const std::uint64_t next = walk_rng.bits();
+        EXPECT_EQ(replay_rng.bits(), next)
+            << "plan " << plan << " u=" << u << " j=" << j;
+        EXPECT_EQ(rows_rng.bits(), next)
+            << "plan " << plan << " u=" << u << " j=" << j;
+        if (walk.ties >= 2) ++multi_ties;
+
+        const std::size_t replicas = f.placement.replica_count(j);
+        Rng reference_rng = stream;
+        Rng automatic_rng = stream;
+        const NearestResult reference =
+            replicas * replicas <= n
+                ? index.nearest_by_scan(u, j, reference_rng)
+                : index.nearest_by_shells(u, j, reference_rng);
+        const NearestResult automatic = index.nearest(u, j, automatic_rng);
+        expect_same_nearest(automatic, reference);
+        EXPECT_EQ(automatic_rng.bits(), reference_rng.bits())
+            << "plan " << plan << " u=" << u << " j=" << j;
+      }
+    }
+    if (side >= 7) {
+      EXPECT_GT(multi_ties, 0u) << "no tie set was exercised";
+    }
+    if (k == 131 && coordinates == Coordinates::InBand) {
+      EXPECT_GT(with_coordinates, 0u) << "no file with coordinates";
+      EXPECT_GT(without_coordinates, 0u) << "no file without coordinates";
+    }
   }
 }
 
@@ -230,8 +248,9 @@ INSTANTIATE_TEST_SUITE_P(
     replay_param_name);
 
 // |S_j| ≈ 75 ± 8 at n = 1024: files on both sides of the coordinate band's
-// edge (|S_j|² = kReplayDensity·n, |S_j| ≈ 78), so the list replay runs
-// from packed coordinates on some and through the lattice kernel on others.
+// edge (|S_j|² = kReplayDensity·n, |S_j| ≈ 78), so under the in-band plan
+// the list replay runs from packed coordinates on some and through the
+// lattice kernel on others (asserted through `has_coordinates`).
 INSTANTIATE_TEST_SUITE_P(
     CoordinateBandEdge, ReplayParamTest,
     ::testing::Values(std::make_tuple(Wrap::Torus, 32, 10, 131),
