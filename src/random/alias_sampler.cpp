@@ -1,6 +1,5 @@
 #include "random/alias_sampler.hpp"
 
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -20,7 +19,7 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   PROXCACHE_REQUIRE(total > 0.0, "at least one weight must be positive");
 
   const std::size_t k = weights.size();
-  std::vector<double> prob(k, 0.0);
+  prob_.assign(k, 0.0);
   alias_.assign(k, 0);
 
   // Vose's algorithm: scale weights to mean 1, split into small/large piles,
@@ -44,7 +43,7 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
     const std::uint32_t s = small.back();
     small.pop_back();
     const std::uint32_t l = large.back();
-    prob[s] = scaled[s];
+    prob_[s] = scaled[s];
     alias_[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
@@ -53,23 +52,17 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
     }
   }
   // Numerical leftovers are exactly-1 columns.
-  for (const std::uint32_t i : large) prob[i] = 1.0;
-  for (const std::uint32_t i : small) prob[i] = 1.0;
-  // p·2^53 is exact for p in [0, 1], and so is its ceiling.
-  keep_below_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    keep_below_[i] = static_cast<std::uint64_t>(std::ceil(prob[i] * 0x1.0p53));
-  }
+  for (const std::uint32_t i : large) prob_[i] = 1.0;
+  for (const std::uint32_t i : small) prob_[i] = 1.0;
 }
 
 std::vector<double> AliasSampler::encoded_pmf() const {
-  const std::size_t k = keep_below_.size();
+  const std::size_t k = prob_.size();
   std::vector<double> pmf(k, 0.0);
   const double column_mass = 1.0 / static_cast<double>(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const double keep = static_cast<double>(keep_below_[i]) * 0x1.0p-53;
-    pmf[i] += column_mass * keep;
-    pmf[alias_[i]] += column_mass * (1.0 - keep);
+    pmf[i] += column_mass * prob_[i];
+    pmf[alias_[i]] += column_mass * (1.0 - prob_[i]);
   }
   return pmf;
 }

@@ -20,19 +20,17 @@ class AliasSampler {
   explicit AliasSampler(const std::vector<double>& weights);
 
   /// Draw one index with the configured probabilities: a uniform column,
-  /// kept with its acceptance probability p, else its alias. The keep test
-  /// is `rng.uniform() < p` as one integer compare (`Rng::uniform_bits`).
-  /// The choice stays a branch: a uniform catalog keeps every column, so
-  /// it never mispredicts, and a mask select read slower on the sharded
+  /// kept with its acceptance probability, else its alias. Inline, and the
+  /// choice stays a branch: a uniform catalog keeps every column, so it
+  /// never mispredicts, and a mask select read slower on the sharded
   /// engine, whose one fill thread makes every draw.
   [[nodiscard]] std::uint32_t sample(Rng& rng) const {
-    const auto column =
-        static_cast<std::uint32_t>(rng.below(keep_below_.size()));
-    return rng.uniform_bits() < keep_below_[column] ? column : alias_[column];
+    const auto column = static_cast<std::uint32_t>(rng.below(prob_.size()));
+    return rng.uniform() < prob_[column] ? column : alias_[column];
   }
 
   /// Number of categories K.
-  [[nodiscard]] std::size_t size() const { return keep_below_.size(); }
+  [[nodiscard]] std::size_t size() const { return prob_.size(); }
 
   /// Exact probability of category `i` as encoded by the alias table
   /// (reconstructed from the internal tables; used by tests to verify the
@@ -40,8 +38,7 @@ class AliasSampler {
   [[nodiscard]] std::vector<double> encoded_pmf() const;
 
  private:
-  /// ceil(p·2^53) per column, for its acceptance probability p.
-  std::vector<std::uint64_t> keep_below_;
+  std::vector<double> prob_;          // acceptance threshold per column
   std::vector<std::uint32_t> alias_;  // alias target per column
 };
 

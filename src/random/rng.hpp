@@ -52,13 +52,9 @@ class Rng {
     return lo + static_cast<std::int64_t>(below(span));
   }
 
-  /// The 53 bits `uniform()` scales by 2^-53, so `uniform() < p` exactly
-  /// when `uniform_bits() < ceil(p·2^53)`.
-  std::uint64_t uniform_bits() { return engine_() >> 11; }
-
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform() {
-    return static_cast<double>(uniform_bits()) * 0x1.0p-53;
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli draw with success probability `p` (clamped to [0,1]).
