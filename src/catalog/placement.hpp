@@ -18,7 +18,7 @@
 /// with `uint32_t` offsets, so a placement holds at most 2³²−1 (node, file)
 /// entries: the builders reject `n·min(M, K)` past that before allocating.
 /// A distinct-sampling mode is kept as an ablation
-/// (`bench/ablation_placement.cpp`; see `docs/architecture.md`).
+/// (`paper --claim ablation_placement`; see `docs/architecture.md`).
 
 #include <cstdint>
 #include <span>

@@ -4,7 +4,7 @@
 /// An `ExperimentConfig` pins every model knob — topology, library,
 /// popularity, placement, request volume, assignment strategy, and the
 /// policies that close the paper's model gaps (see docs/architecture.md;
-/// the placement-mode ablation is bench/ablation_placement.cpp) — plus the
+/// the placement-mode ablation is the `ablation_placement` claim) — plus the
 /// root seed, so a run is a pure function of its config and run index.
 
 #include <cstdint>

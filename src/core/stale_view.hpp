@@ -6,7 +6,7 @@
 /// compare loads from a snapshot that is refreshed only every `period`
 /// assignments. `period = 1` degenerates to the paper's fresh-information
 /// model; large periods quantify how much staleness the power of two
-/// choices tolerates (bench: `ext_stale_info`).
+/// choices tolerates (`paper --claim ext_stale_info`).
 
 #include <vector>
 

@@ -13,7 +13,7 @@
 /// theorems guarantee this is vanishingly rare in the good regime; we count
 /// every fallback so benches can report the rate). A lone candidate is used
 /// directly. An optional observer receives each sampled candidate pair,
-/// which is how `bench/lemma3_config_graph` measures the edge-sampling
+/// which is how the `lemma3_config_graph` claim measures the edge-sampling
 /// probabilities of Lemma 3(b).
 
 #include <functional>

@@ -5,7 +5,7 @@
 /// `d(u, v) <= 2r` on the lattice. Lemma 3 shows H is almost Δ-regular with
 /// `Δ = Θ(M²r²/K)` in the Theorem 4 regime and that Strategy II samples
 /// edges of H with probability O(1/e(H)) — both verified by
-/// `bench/lemma3_config_graph` and the graph tests.
+/// `paper --claim lemma3_config_graph` and the graph tests.
 
 #include <cstddef>
 

@@ -6,7 +6,7 @@
 /// around the replica set `S_j`: every node belongs to the cell of its
 /// nearest replica. Lemma 1 bounds the maximum cell size by
 /// `O(K log n / M)`; the tessellation here lets tests cross-check the
-/// nearest-replica search and lets `bench/lemma1_voronoi_cells` measure the
+/// nearest-replica search and lets the `lemma1_voronoi_cells` claim measure the
 /// actual cell-size distribution.
 ///
 /// Ties are resolved to the smallest center id, which yields a deterministic

@@ -1,13 +1,13 @@
 #pragma once
 /// \file cli.hpp
-/// Minimal dependency-free command-line option parser used by all bench and
-/// example binaries.
+/// Minimal dependency-free command-line option parser used by the `paper`
+/// and example binaries.
 ///
 /// Usage:
 /// ```
-/// ArgParser args("fig5_tradeoff", "Reproduces Figure 5");
+/// ArgParser args("tradeoff_explorer", "sweep the proximity radius");
 /// args.add_int("n", 2025, "number of servers (perfect square)");
-/// args.add_flag("full", "run at paper-scale replication counts");
+/// args.add_flag("table", "print an aligned table instead of CSV");
 /// args.parse(argc, argv);          // throws CliError on bad input
 /// const auto n = args.get_int("n");
 /// ```
