@@ -60,6 +60,13 @@ std::pair<std::size_t, Hop> bfs_full(const CompactGraph& graph, NodeId source,
   return {frontier.size(), depth > 0 ? depth - 1 : 0};
 }
 
+/// Level `d` of a cached BFS row: its stored nodes, in the row's order.
+template <typename Row>
+auto level_of(Row& row, std::size_t d) {
+  const std::uint32_t begin = d == 0 ? 0 : row.level_end[d - 1];
+  return std::span(row.nodes).subspan(begin, row.level_end[d] - begin);
+}
+
 }  // namespace
 
 DistanceOracle::DistanceOracle(const CompactGraph& graph, Options options)
@@ -195,12 +202,17 @@ void DistanceOracle::build_sparse(const CompactGraph& graph) {
 
 Hop DistanceOracle::landmark_upper_bound(NodeId u, NodeId v) const {
   PROXCACHE_REQUIRE(!dense_, "landmark bounds exist only in sparse mode");
+  return landmark_bound(
+      landmark_dist_.data() + std::size_t{u} * landmarks_.size(), v);
+}
+
+Hop DistanceOracle::landmark_bound(const std::uint16_t* origin,
+                                   NodeId v) const {
   const std::size_t k = landmarks_.size();
-  const std::uint16_t* ru = landmark_dist_.data() + std::size_t{u} * k;
   const std::uint16_t* rv = landmark_dist_.data() + std::size_t{v} * k;
   Hop best = kUnboundedRadius;
   for (std::size_t i = 0; i < k; ++i) {
-    const Hop via = static_cast<Hop>(ru[i]) + static_cast<Hop>(rv[i]);
+    const Hop via = static_cast<Hop>(origin[i]) + static_cast<Hop>(rv[i]);
     best = std::min(best, via);
   }
   return best;
@@ -209,7 +221,7 @@ Hop DistanceOracle::landmark_upper_bound(NodeId u, NodeId v) const {
 DistanceOracle::Row& DistanceOracle::row_for(NodeId u) const {
   auto it = rows_.find(u);
   if (it != rows_.end()) {
-    touch(u);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return *it->second.row;
   }
   // A fresh row for `u` must not inherit marks from an evicted incarnation.
@@ -217,7 +229,6 @@ DistanceOracle::Row& DistanceOracle::row_for(NodeId u) const {
   auto row = std::make_unique<Row>();
   row->nodes.push_back(u);
   row->level_end.push_back(1);
-  row->frontier.push_back(u);
   if (n_ == 1) row->complete = true;
   update_budget_depth(*row);
   lru_.push_front(u);
@@ -230,12 +241,6 @@ DistanceOracle::Row& DistanceOracle::row_for(NodeId u) const {
   ++stats_.rows_built;
   evict_to_budget();
   return result;
-}
-
-void DistanceOracle::touch(NodeId u) const {
-  auto it = rows_.find(u);
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  it->second.lru_pos = lru_.begin();
 }
 
 void DistanceOracle::evict_to_budget() const {
@@ -257,10 +262,9 @@ void DistanceOracle::bind_marks(const Row& row, NodeId source) const {
   mark_nodes_.clear();
   mark_nodes_.reserve(row.nodes.size());
   for (std::size_t d = 0; d < row.level_end.size(); ++d) {
-    const std::uint32_t begin = d == 0 ? 0 : row.level_end[d - 1];
-    for (std::uint32_t i = begin; i < row.level_end[d]; ++i) {
-      mark_depth_[row.nodes[i]] = static_cast<std::uint16_t>(d);
-      mark_nodes_.push_back(row.nodes[i]);
+    for (const NodeId v : level_of(row, d)) {
+      mark_depth_[v] = static_cast<std::uint16_t>(d);
+      mark_nodes_.push_back(v);
     }
   }
   mark_owner_ = source;
@@ -271,56 +275,49 @@ void DistanceOracle::extend_row(Row& row, NodeId source) const {
   bind_marks(row, source);
   const Hop depth = static_cast<Hop>(row.level_end.size());
   if (depth > kMaxStorableHops) throw_depth_overflow(source);
-  std::vector<NodeId> next;
-  for (const NodeId u : row.frontier) {
-    for (const std::uint32_t v : graph_->neighbors(u)) {
+  // The new level grows from the last stored one straight onto the end of
+  // `nodes`, in discovery order; indices, since push_back may reallocate.
+  const std::uint32_t begin = depth == 1 ? 0 : row.level_end[depth - 2];
+  const std::uint32_t end = row.level_end.back();
+  for (std::uint32_t i = begin; i < end; ++i) {
+    for (const std::uint32_t v : graph_->neighbors(row.nodes[i])) {
       if (mark_depth_[v] == kUnreached) {
         mark_depth_[v] = static_cast<std::uint16_t>(depth);
         mark_nodes_.push_back(v);
-        next.push_back(v);
+        row.nodes.push_back(v);
       }
     }
   }
-  if (next.empty()) {
-    row.complete = true;
+  if (row.nodes.size() == end) {
+    row.complete = true;  // the graph is exhausted
   } else {
-    // Levels are exposed in increasing node-id order — the same order the
-    // dense row scan enumerates, so shell enumeration is regime-invariant.
-    std::sort(next.begin(), next.end());
-    row.nodes.insert(row.nodes.end(), next.begin(), next.end());
     row.level_end.push_back(static_cast<std::uint32_t>(row.nodes.size()));
-    cached_entries_ += next.size();
-    row.frontier = std::move(next);
+    cached_entries_ += row.nodes.size() - end;
   }
   update_budget_depth(row);
 }
 
 void DistanceOracle::update_budget_depth(Row& row) const {
-  if (row.budget_depth_known) return;
   // B*(u) ends at the first level whose *predicted* successor cannot fit:
   // the next level's size is bounded by the current level's degree sum
   // (capped at n — degree sums overcount already-visited neighbors), so
   // the ball is truncated *before* any level that could push it past the
   // budget. |B*(u)| <= min(budget, n) always — heavy-tailed graphs never
   // materialize a 10x-overshoot hub level on the distance path — and the
-  // horizon stays a pure function of the graph and the budget.
-  for (std::size_t d = 0; d < row.level_end.size(); ++d) {
-    std::size_t degree_sum = 0;
-    const std::uint32_t begin = d == 0 ? 0 : row.level_end[d - 1];
-    for (std::uint32_t i = begin; i < row.level_end[d]; ++i) {
-      degree_sum += graph_->degree(row.nodes[i]);
-    }
-    const std::size_t predicted =
-        std::min(row.level_end[d] + degree_sum, n_);
-    if (predicted > options_.distance_ball_budget) {
-      row.budget_depth = static_cast<std::uint16_t>(d);
-      row.budget_depth_known = true;
-      return;
-    }
-  }
-  if (row.complete) {
-    row.budget_depth = static_cast<std::uint16_t>(row.level_end.size() - 1);
+  // horizon stays a pure function of the graph and the budget. A row
+  // grows only while its horizon is unknown, so every shallower level
+  // passed this check when it was stored: only the newest one is checked.
+  const std::size_t last = row.level_end.size() - 1;
+  std::size_t degree_sum = 0;
+  for (const NodeId v : level_of(row, last)) degree_sum += graph_->degree(v);
+  const std::size_t predicted =
+      std::min<std::size_t>(row.level_end[last] + degree_sum, n_);
+  if (row.complete || predicted > options_.distance_ball_budget) {
+    row.budget_depth = static_cast<std::uint16_t>(last);
     row.budget_depth_known = true;
+    // The stored row is final (deeper levels stream): drop the growth
+    // slack of its node list.
+    row.nodes.shrink_to_fit();
   }
 }
 
@@ -336,31 +333,34 @@ void DistanceOracle::ensure_depth(Row& row, NodeId source, Hop d) const {
 
 void DistanceOracle::stream_beyond(
     const Row& row, NodeId source, Hop target,
-    FunctionRef<void(Hop, const std::vector<NodeId>&)> fn) const {
+    FunctionRef<void(Hop, std::span<NodeId>)> fn) const {
   if (row.complete) return;
   bind_marks(row, source);
-  std::vector<NodeId> frontier = row.frontier;
-  std::vector<NodeId> next;
+  // Streamed levels go one after another into the reused scratch, each
+  // grown from the one before it by index (push_back may reallocate).
+  // BFS level sets do not depend on intra-level order.
+  std::vector<NodeId>& levels = stream_levels_;
+  levels.clear();
   auto depth = static_cast<Hop>(row.level_end.size());
-  while (depth <= target) {
-    if (depth > kMaxStorableHops) throw_depth_overflow(source);
-    next.clear();
-    for (const NodeId u : frontier) {
-      for (const std::uint32_t v : graph_->neighbors(u)) {
-        if (mark_depth_[v] == kUnreached) {
-          mark_depth_[v] = static_cast<std::uint16_t>(depth);
-          mark_nodes_.push_back(v);
-          next.push_back(v);
-        }
+  const auto expand = [&](NodeId u) {
+    for (const std::uint32_t v : graph_->neighbors(u)) {
+      if (mark_depth_[v] == kUnreached) {
+        mark_depth_[v] = static_cast<std::uint16_t>(depth);
+        mark_nodes_.push_back(v);
+        levels.push_back(v);
       }
     }
-    if (next.empty()) break;
-    // Same increasing-id level order the stored rows and the dense scan
-    // expose; BFS level sets do not depend on intra-level order.
-    std::sort(next.begin(), next.end());
-    fn(depth, next);
-    frontier.swap(next);
-    ++depth;
+  };
+  if (depth > kMaxStorableHops) throw_depth_overflow(source);
+  for (const NodeId u : level_of(row, depth - 1)) expand(u);
+  std::size_t begin = 0;
+  while (levels.size() > begin) {
+    const std::size_t end = levels.size();
+    fn(depth, std::span(levels).subspan(begin, end - begin));
+    if (depth >= target) break;
+    if (++depth > kMaxStorableHops) throw_depth_overflow(source);
+    for (std::size_t i = begin; i < end; ++i) expand(levels[i]);
+    begin = end;
   }
   // The marks now carry streamed levels the stored row does not own;
   // force a clean rebind before the next marked query.
@@ -380,31 +380,76 @@ Hop DistanceOracle::budget_ball_depth(NodeId u) const {
   return row.budget_depth;
 }
 
+std::optional<Hop> DistanceOracle::budget_ball_lookup(Row& row,
+                                                      NodeId source,
+                                                      NodeId v) const {
+  // Lazy budget-ball growth: stop as soon as `v` turns up. A node found
+  // before the budget is met is inside B*(u) by definition, so the answer
+  // is identical to the eager build — just without paying for the full
+  // budget ball when `v` is close.
+  while (true) {
+    const std::uint16_t d = mark_depth_[v];
+    if (d != kUnreached &&
+        (!row.budget_depth_known || d <= row.budget_depth)) {
+      return static_cast<Hop>(d);
+    }
+    if (row.budget_depth_known) return std::nullopt;
+    extend_row(row, source);
+  }
+}
+
 Hop DistanceOracle::distance(NodeId u, NodeId v) const {
   PROXCACHE_REQUIRE(u < n_ && v < n_, "node id out of range");
   if (dense_) return dense_distance(u, v);
-  if (u == v) return 0;
+  Hop d = 0;
+  distances(u, std::span(&v, 1), std::span(&d, 1));
+  return d;
+}
+
+void DistanceOracle::distances(NodeId u, std::span<const NodeId> ids,
+                               std::span<Hop> out) const {
+  PROXCACHE_REQUIRE(u < n_ && out.size() == ids.size(),
+                    "origin out of range, or `out` not as long as `ids`");
+  if (dense_) {
+    const std::uint16_t* row = dense_dist_.data() + std::size_t{u} * n_;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      PROXCACHE_REQUIRE(ids[i] < n_, "node id out of range");
+      out[i] = row[ids[i]];
+    }
+    return;
+  }
+  bool bounded = false;
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    Row& row = row_for(u);
-    bind_marks(row, u);
-    // Lazy budget-ball growth: stop as soon as `v` turns up. A node found
-    // before the budget is met is inside B*(u) by definition, so the
-    // answer is identical to the eager build — just without paying for
-    // the full budget ball when `v` is close.
-    while (true) {
-      const std::uint16_t d = mark_depth_[v];
-      if (d != kUnreached &&
-          (!row.budget_depth_known || d <= row.budget_depth)) {
-        ++stats_.exact_answers;
-        return d;
+    Row* row = nullptr;  // found at the first id other than `u`
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const NodeId v = ids[i];
+      PROXCACHE_REQUIRE(v < n_, "node id out of range");
+      if (v == u) {
+        out[i] = 0;
+        continue;
       }
-      if (row.budget_depth_known) break;
-      extend_row(row, u);
+      if (row == nullptr) {
+        row = &row_for(u);
+        bind_marks(*row, u);
+      }
+      if (const auto exact = budget_ball_lookup(*row, u, v)) {
+        ++stats_.exact_answers;
+        out[i] = *exact;
+      } else {
+        ++stats_.landmark_answers;
+        out[i] = kUnboundedRadius;
+        bounded = true;
+      }
     }
-    ++stats_.landmark_answers;
   }
-  return landmark_upper_bound(u, v);
+  if (!bounded) return;
+  // The landmark tables are immutable: the bounds need no lock.
+  const std::uint16_t* origin =
+      landmark_dist_.data() + std::size_t{u} * landmarks_.size();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (out[i] == kUnboundedRadius) out[i] = landmark_bound(origin, ids[i]);
+  }
 }
 
 std::optional<Hop> DistanceOracle::certified_distance(NodeId u,
@@ -415,16 +460,7 @@ std::optional<Hop> DistanceOracle::certified_distance(NodeId u,
   std::lock_guard<std::mutex> lock(cache_mutex_);
   Row& row = row_for(u);
   bind_marks(row, u);
-  while (true) {
-    const std::uint16_t d = mark_depth_[v];
-    if (d != kUnreached &&
-        (!row.budget_depth_known || d <= row.budget_depth)) {
-      return static_cast<Hop>(d);
-    }
-    if (row.budget_depth_known) break;
-    extend_row(row, u);
-  }
-  return std::nullopt;
+  return budget_ball_lookup(row, u, v);
 }
 
 void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {
@@ -441,14 +477,20 @@ void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   Row& row = row_for(u);
   ensure_depth(row, u, d);
+  // Shells come out in increasing node-id order, the dense row scan's:
+  // a stored level is sorted in place the first time it is enumerated,
+  // a streamed one only at the requested depth.
   if (d < row.level_end.size()) {
-    const std::uint32_t begin = d == 0 ? 0 : row.level_end[d - 1];
-    const std::uint32_t end = row.level_end[d];
-    for (std::uint32_t i = begin; i < end; ++i) fn(row.nodes[i]);
+    for (; row.sorted_levels <= d; ++row.sorted_levels) {
+      const auto level = level_of(row, row.sorted_levels);
+      std::sort(level.begin(), level.end());
+    }
+    for (const NodeId v : level_of(row, d)) fn(v);
     return;
   }
-  stream_beyond(row, u, d, [&](Hop depth, const std::vector<NodeId>& level) {
+  stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
     if (depth == d) {
+      std::sort(level.begin(), level.end());
       for (const NodeId v : level) fn(v);
     }
   });
@@ -469,12 +511,9 @@ std::size_t DistanceOracle::shell_size(NodeId u, Hop d) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   Row& row = row_for(u);
   ensure_depth(row, u, d);
-  if (d < row.level_end.size()) {
-    const std::uint32_t begin = d == 0 ? 0 : row.level_end[d - 1];
-    return row.level_end[d] - begin;
-  }
+  if (d < row.level_end.size()) return level_of(row, d).size();
   std::size_t count = 0;
-  stream_beyond(row, u, d, [&](Hop depth, const std::vector<NodeId>& level) {
+  stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
     if (depth == d) count = level.size();
   });
   return count;
@@ -497,11 +536,10 @@ std::size_t DistanceOracle::ball_size(NodeId u, Hop r) const {
   const std::size_t top = std::min<std::size_t>(r, row.level_end.size() - 1);
   std::size_t count = row.level_end[top];
   if (r >= row.level_end.size()) {
-    stream_beyond(row, u, r,
-                  [&](Hop depth, const std::vector<NodeId>& level) {
-                    (void)depth;
-                    count += level.size();
-                  });
+    stream_beyond(row, u, r, [&](Hop depth, std::span<NodeId> level) {
+      (void)depth;
+      count += level.size();
+    });
   }
   return count;
 }

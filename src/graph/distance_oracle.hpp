@@ -43,12 +43,14 @@
 ///
 /// Thread safety: all queries are safe from multiple threads. Sparse-mode
 /// queries serialize on one internal mutex (the row cache mutates); the
-/// dense regime is lock-free. Visitor callbacks run under that mutex and
-/// must not re-enter the oracle.
+/// dense regime is lock-free. A `distances` batch takes the mutex once.
+/// Visitor callbacks run under that mutex and must not re-enter the
+/// oracle.
 
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -79,7 +81,8 @@ class DistanceOracle {
     /// budget >= n keeps every answer exact.
     std::size_t distance_ball_budget = 4096;
     /// Total node entries across all cached rows; least-recently-used rows
-    /// are evicted past it (each entry is ~10 bytes).
+    /// are evicted past it. Each entry is one 4-byte node id (a row still
+    /// growing holds up to twice that), plus ~250 bytes per row.
     std::size_t cache_entry_budget = std::size_t{1} << 20;
     /// Extra eccentricity computations (full BFS each) the exact-diameter
     /// refinement (iFUB) may spend after the initial double sweep before
@@ -108,6 +111,14 @@ class DistanceOracle {
   /// Hop distance: exact in dense mode or inside the budget ball, landmark
   /// upper bound otherwise.
   [[nodiscard]] Hop distance(NodeId u, NodeId v) const;
+
+  /// `out[i] = distance(u, ids[i])` for every `i` (`out` as long as
+  /// `ids`), with the same answers, counters and row-cache state as those
+  /// calls made one at a time in order. Sparse mode takes the lock, finds
+  /// the origin's row and binds the marks once for the whole batch, and
+  /// reads the origin's landmark entries once for its landmark answers.
+  void distances(NodeId u, std::span<const NodeId> ids,
+                 std::span<Hop> out) const;
 
   /// Exact distance when this oracle can certify it (dense mode, or
   /// `v ∈ B*(u)`); nullopt when only the landmark estimate is available.
@@ -142,43 +153,56 @@ class DistanceOracle {
 
  private:
   /// One on-demand BFS ball. Levels are stored concatenated in `nodes`
-  /// with `level_end[d]` marking the end of depth `d`; each level is
-  /// sorted by node id (the same enumeration order the dense row scan
+  /// with `level_end[d]` marking the end of depth `d`, each in BFS
+  /// discovery order; the last level is the frontier that the next level
+  /// (stored, or streamed past the horizon) grows from. Distance lookups
+  /// never read the order: `visit_shell` sorts a level by node id in place
+  /// the first time it enumerates it (the order the dense row scan
   /// produces). Membership/depth queries go through the shared flat mark
   /// array (`bind_marks`) — a per-row hash map would dominate the BFS.
   struct Row {
     std::vector<NodeId> nodes;
     std::vector<std::uint32_t> level_end;
-    std::vector<NodeId> frontier;  ///< last completed level, BFS order
-    bool complete = false;         ///< ball == whole graph
+    bool complete = false;  ///< ball == whole graph
     /// Last level of the *budget-truncated* BFS — the exactness horizon of
     /// `distance`. Set once, when a level's predicted successor no longer
     /// fits `distance_ball_budget` (or the graph is exhausted); see
     /// `update_budget_depth`.
     std::uint16_t budget_depth = 0;
     bool budget_depth_known = false;
+    /// Levels `[0, sorted_levels)` are sorted by node id.
+    std::uint16_t sorted_levels = 1;
   };
 
   [[nodiscard]] Hop dense_distance(NodeId u, NodeId v) const {
     return dense_dist_[static_cast<std::size_t>(u) * n_ + v];
   }
 
+  /// `landmark_upper_bound` from the origin's k landmark entries.
+  [[nodiscard]] Hop landmark_bound(const std::uint16_t* origin,
+                                   NodeId v) const;
+
   // Sparse-regime internals; all require cache_mutex_ held.
   Row& row_for(NodeId u) const;
+  /// The exactness step of `distance` and `certified_distance`: `v`'s
+  /// depth when it lies in the budget ball of `row` (marks bound to it),
+  /// growing the row only until `v` turns up or the horizon is known;
+  /// nullopt outside the ball.
+  std::optional<Hop> budget_ball_lookup(Row& row, NodeId source,
+                                        NodeId v) const;
   void extend_row(Row& row, NodeId source) const;  ///< one more BFS level
   void update_budget_depth(Row& row) const;
   void ensure_depth(Row& row, NodeId source, Hop d) const;
   void ensure_budget_depth(Row& row, NodeId source) const;
-  /// BFS levels past the stored horizon, streamed from `row.frontier`
-  /// through the mark scratch without growing the stored row: calls
-  /// `fn(depth, level)` for each level in (stored, target], each sorted by
-  /// node id. Invalidates the mark binding on return.
-  void stream_beyond(
-      const Row& row, NodeId source, Hop target,
-      FunctionRef<void(Hop, const std::vector<NodeId>&)> fn) const;
+  /// BFS levels past the stored horizon, streamed from the row's last
+  /// level through the mark scratch into `stream_levels_`, without
+  /// growing the stored row: calls `fn(depth, level)` for each level in
+  /// (stored, target], in discovery order (`fn` may reorder it).
+  /// Invalidates the mark binding on return.
+  void stream_beyond(const Row& row, NodeId source, Hop target,
+                     FunctionRef<void(Hop, std::span<NodeId>)> fn) const;
   void bind_marks(const Row& row, NodeId source) const;
   void evict_to_budget() const;
-  void touch(NodeId u) const;
 
   void build_dense(const CompactGraph& graph);
   void build_sparse(const CompactGraph& graph);
@@ -217,6 +241,8 @@ class DistanceOracle {
   mutable std::vector<std::uint16_t> mark_depth_;
   mutable std::vector<NodeId> mark_nodes_;
   mutable NodeId mark_owner_ = kInvalidNode;
+  /// `stream_beyond`'s levels, concatenated; reused across calls.
+  mutable std::vector<NodeId> stream_levels_;
 };
 
 }  // namespace proxcache

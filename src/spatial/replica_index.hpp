@@ -53,8 +53,9 @@
 /// replay — when it only asks `nearest()`, and none when it only samples
 /// the lists. A file with coordinates gets a chunk's distances from one
 /// branch-free, vectorized pass, with no division per replica; any other
-/// file through `Lattice::distance_from` (one coordinate division per
-/// replica) or the topology. Either way every draw, tie and candidate
+/// lattice file through `Lattice::distance_from` (one coordinate division
+/// per replica), and a chunk of any other topology through one
+/// `Topology::distances` batch. Either way every draw, tie and candidate
 /// order is that of a plain scan. The bucket grids store packed
 /// coordinates too, all files' grids in one flat CSR. The row replay knows
 /// each row y and its row distance k, so a replica's distance is
@@ -86,16 +87,12 @@ struct NearestResult {
 
 namespace detail {
 
-/// The distance kernel of a scan from origin `u`: on a lattice the origin's
-/// coordinate is resolved once, elsewhere it is the topology's `distance`.
+/// The lattice distance kernel of a scan from origin `u`: the origin's
+/// coordinate is resolved once.
 inline auto distances_from(const Lattice& lattice, NodeId u) {
   return [&lattice, pu = lattice.coord(u)](NodeId v) {
     return lattice.distance_from(pu, v);
   };
-}
-
-inline auto distances_from(const Topology& topology, NodeId u) {
-  return [&topology, u](NodeId v) { return topology.distance(u, v); };
 }
 
 /// Smallest distance from `u` to a node of `nodes` (`kUnboundedRadius` when
@@ -111,7 +108,8 @@ inline Hop min_distance_from(const Topology& topology, NodeId u,
   if (const Lattice* lattice = topology.as_lattice()) {
     return min_over(distances_from(*lattice, u));
   }
-  return min_over(distances_from(topology, u));
+  return min_over(
+      [&topology, u](NodeId v) { return topology.distance(u, v); });
 }
 
 }  // namespace detail
@@ -244,14 +242,27 @@ class ReplicaIndex {
   /// order, `kDistanceChunk` replicas at a time (the last chunk shorter):
   /// `ids` is the next run of the list and `distances[i]` the hop distance
   /// from `u` to `ids[i]`; both spans end with the call. Where the file has
-  /// packed coordinates one vectorized pass computes a chunk's distances.
-  /// Elsewhere each comes from the lattice kernel (devirtualized — Lattice
-  /// is final) or the topology, queried in list order, so a sparse oracle
-  /// sees the queries of a plain scan.
+  /// packed coordinates one vectorized pass computes a chunk's distances;
+  /// other lattice files use the lattice kernel (devirtualized — Lattice
+  /// is final). Other topologies answer a chunk with one
+  /// `Topology::distances` batch, in list order: a sparse oracle takes
+  /// its lock, finds the origin's row and binds its marks once per chunk,
+  /// and sees the queries of a plain scan.
   template <typename Fn>
   void for_each_distance_chunk(NodeId u, FileId j, Fn&& fn) const {
     const auto list = placement_->replicas(j);
-    const auto per_replica = [&](const auto& distance) {
+    if (lattice_ == nullptr) {
+      for_each_chunk(
+          list,
+          [&](std::size_t base, std::span<Hop> out) {
+            topology_->distances(u, list.subspan(base, out.size()), out);
+          },
+          fn);
+      return;
+    }
+    const auto coords = coords_of(j);
+    if (coords.size() != list.size()) {
+      const auto distance = detail::distances_from(*lattice_, u);
       for_each_chunk(
           list,
           [&](std::size_t base, std::span<Hop> out) {
@@ -260,14 +271,6 @@ class ReplicaIndex {
             }
           },
           fn);
-    };
-    if (lattice_ == nullptr) {
-      per_replica(detail::distances_from(*topology_, u));
-      return;
-    }
-    const auto coords = coords_of(j);
-    if (coords.size() != list.size()) {
-      per_replica(detail::distances_from(*lattice_, u));
       return;
     }
     const PackedDistance distance(*lattice_, lattice_->coord(u));

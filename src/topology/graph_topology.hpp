@@ -52,6 +52,10 @@ class GraphTopology final : public Topology {
   [[nodiscard]] Hop distance(NodeId u, NodeId v) const override {
     return oracle_.distance(u, v);
   }
+  void distances(NodeId u, std::span<const NodeId> ids,
+                 std::span<Hop> out) const override {
+    oracle_.distances(u, ids, out);
+  }
   [[nodiscard]] Hop diameter() const override { return oracle_.diameter(); }
 
   /// Exact shell in increasing node-id order (deterministic in both oracle

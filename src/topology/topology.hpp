@@ -25,6 +25,7 @@
 ///    workloads to anchor demand discs.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,13 @@ class Topology {
 
   /// Hop (shortest-path) distance between two nodes.
   [[nodiscard]] virtual Hop distance(NodeId u, NodeId v) const = 0;
+
+  /// `out[i] = distance(u, ids[i])` for every `i`; `out` is as long as
+  /// `ids`. The default loops `distance`; a topology whose queries share
+  /// per-origin work (the sparse distance oracle's lock and row lookup)
+  /// answers the whole batch at once.
+  virtual void distances(NodeId u, std::span<const NodeId> ids,
+                         std::span<Hop> out) const;
 
   /// Largest hop distance between any two nodes.
   [[nodiscard]] virtual Hop diameter() const = 0;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -78,30 +79,196 @@ TEST(DistanceOracle, ShellsAreExactAndIdSortedInBothRegimes) {
   const CompactGraph& graph = rgg->graph();
   const std::size_t n = graph.num_vertices();
   const DistanceOracle dense(graph, DistanceOracle::Options{});
-  // A *small* ball budget: shells must stay exact beyond the distance
-  // horizon (they extend the row as deep as the query asks).
-  DistanceOracle::Options options = sparse_exact_options(n);
-  options.distance_ball_budget = 8;
-  const DistanceOracle sparse(graph, options);
+  const std::vector<NodeId> origins = {0, static_cast<NodeId>(n / 2),
+                                       static_cast<NodeId>(n - 1)};
 
-  for (const NodeId u : {static_cast<NodeId>(0), static_cast<NodeId>(n / 2),
-                         static_cast<NodeId>(n - 1)}) {
-    std::size_t ball = 0;
-    for (Hop d = 0; d <= dense.diameter() + 1; ++d) {
+  // Shells of `u` from depth 0 up (or from the deepest down) against the
+  // dense row scan, element by element, with their sizes and ball sizes.
+  const auto expect_dense_shells = [&](const DistanceOracle& sparse,
+                                       NodeId u, bool deepest_first,
+                                       const std::string& label) {
+    const Hop top = dense.diameter() + 1;
+    for (Hop step = 0; step <= top; ++step) {
+      const Hop d = deepest_first ? top - step : step;
       std::vector<NodeId> from_dense;
       std::vector<NodeId> from_sparse;
       dense.visit_shell(u, d, [&](NodeId v) { from_dense.push_back(v); });
       sparse.visit_shell(u, d, [&](NodeId v) { from_sparse.push_back(v); });
       EXPECT_EQ(from_sparse, from_dense)
-          << "shell d=" << d << " of " << u
+          << label << ": shell d=" << d << " of " << u
           << " must match the dense row scan element-wise";
-      EXPECT_TRUE(
-          std::is_sorted(from_sparse.begin(), from_sparse.end()))
-          << "shells enumerate in increasing node-id order";
-      EXPECT_EQ(sparse.shell_size(u, d), from_dense.size());
-      ball += from_dense.size();
-      EXPECT_EQ(sparse.ball_size(u, d), std::min(ball, n));
+      EXPECT_TRUE(std::is_sorted(from_sparse.begin(), from_sparse.end()))
+          << label << ": shells enumerate in increasing node-id order";
+      EXPECT_EQ(sparse.shell_size(u, d), from_dense.size()) << label;
+      EXPECT_EQ(sparse.ball_size(u, d), dense.ball_size(u, d)) << label;
     }
+  };
+
+  // Ball budgets: 8 stores the origin alone and streams every other
+  // shell past the horizon; 120 stores three levels from each origin (the
+  // third one in BFS discovery order, unlike a lone neighbour list) and
+  // streams the rest; n stores every level. Shells must stay exact beyond
+  // the distance horizon either way.
+  for (const std::size_t budget : {std::size_t{8}, std::size_t{120}, n}) {
+    DistanceOracle::Options options = sparse_exact_options(n);
+    options.distance_ball_budget = budget;
+    const std::string label = "budget " + std::to_string(budget);
+    {
+      // Shells first: each stored level is enumerated as it is built.
+      const DistanceOracle sparse(graph, options);
+      for (const NodeId u : origins) {
+        expect_dense_shells(sparse, u, false, label + ", shells first");
+      }
+    }
+    {
+      // Rows grown first through `budget_ball_depth` and `distance`: every
+      // stored level keeps its BFS discovery order until a shell query
+      // enumerates it.
+      const DistanceOracle sparse(graph, options);
+      for (const NodeId u : origins) {
+        const Hop horizon = sparse.budget_ball_depth(u);
+        if (budget == 120) {
+          EXPECT_EQ(horizon, 2u) << "u=" << u;
+        }
+        for (NodeId v = 0; v < n; ++v) (void)sparse.distance(u, v);
+      }
+      for (const NodeId u : origins) {
+        expect_dense_shells(sparse, u, false, label + ", rows grown first");
+      }
+    }
+    {
+      // Rows grown first, then the deepest shell first: the first stored
+      // shell asked for lies below levels nobody enumerated yet.
+      const DistanceOracle sparse(graph, options);
+      for (const NodeId u : origins) {
+        for (NodeId v = 0; v < n; ++v) (void)sparse.distance(u, v);
+        expect_dense_shells(sparse, u, true, label + ", deepest first");
+      }
+    }
+  }
+}
+
+TEST(DistanceOracle, BatchedDistancesMatchPerPairQueries) {
+  const auto rgg = make_rgg_topology(200, 0.12, 8);
+  const CompactGraph& graph = rgg->graph();
+  const std::size_t n = graph.num_vertices();
+  DistanceOracle::Options churned;
+  churned.dense_threshold = 0;
+  churned.distance_ball_budget = 24;  // most far pairs go to landmarks
+  churned.cache_entry_budget = 64;    // constant eviction churn
+  const DistanceOracle truth(graph, sparse_exact_options(n));
+
+  for (const DistanceOracle::Options& options :
+       {DistanceOracle::Options{}, churned}) {
+    // One oracle answers pair by pair, the other in batches; both see the
+    // same queries in the same order, shell and ball walks included.
+    const DistanceOracle by_pair(graph, options);
+    const DistanceOracle by_batch(graph, options);
+    const DistanceOracle probe(graph, options);  // classifies pairs only
+    const std::string regime = by_pair.exact() ? "dense" : "sparse";
+    std::size_t straddling = 0;
+
+    // Both oracles are in the same state: counters and resident entries.
+    const auto expect_same_state = [&](const std::string& where) {
+      const DistanceOracle::Stats a = by_pair.stats();
+      const DistanceOracle::Stats b = by_batch.stats();
+      EXPECT_EQ(a.rows_built, b.rows_built) << regime << where;
+      EXPECT_EQ(a.rows_evicted, b.rows_evicted) << regime << where;
+      EXPECT_EQ(a.exact_answers, b.exact_answers) << regime << where;
+      EXPECT_EQ(a.landmark_answers, b.landmark_answers) << regime << where;
+      EXPECT_EQ(by_pair.cached_entries(), by_batch.cached_entries())
+          << regime << where;
+    };
+    const auto check = [&](NodeId u, const std::vector<NodeId>& ids) {
+      std::vector<Hop> out(ids.size(), 12345);
+      by_batch.distances(u, ids, out);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(out[i], by_pair.distance(u, ids[i]))
+            << regime << " (" << u << ", " << ids[i] << ") at " << i;
+      }
+      expect_same_state(" after a batch of " + std::to_string(ids.size()) +
+                        " from " + std::to_string(u));
+    };
+
+    for (NodeId u = 0; u < n; u += 3) {
+      // Ids inside and outside u's budget ball, with u among them.
+      std::vector<NodeId> inside;
+      std::vector<NodeId> outside;
+      for (NodeId v = 0; v < n; v += 5) {
+        (probe.certified_distance(u, v) ? inside : outside).push_back(v);
+      }
+      std::vector<NodeId> mixed = {u};
+      for (std::size_t i = 0; i < std::max(inside.size(), outside.size());
+           ++i) {
+        if (i < outside.size()) mixed.push_back(outside[i]);
+        if (i < inside.size()) mixed.push_back(inside[i]);
+        if (i == 2) mixed.push_back(u);
+      }
+      if (!by_pair.exact() && !inside.empty() && !outside.empty()) {
+        ++straddling;
+      }
+
+      check(u, {});       // empty
+      check(u, {u});      // the origin alone: no row is built
+      check(u, {u, u});
+      check(u, mixed);    // straddles the horizon, the origin twice
+      // A 64-id chunk of the list order a replica scan would use.
+      std::vector<NodeId> chunk;
+      for (std::size_t i = 0; i < 64; ++i) {
+        chunk.push_back(static_cast<NodeId>((u * 37 + i * 11) % n));
+      }
+      check(u, chunk);
+      if (u % 9 == 0) {
+        // Deep walks bind streamed marks and grow other rows.
+        (void)by_pair.ball_size(u, by_pair.diameter());
+        (void)by_batch.ball_size(u, by_batch.diameter());
+        const NodeId w = static_cast<NodeId>((u + n / 2) % n);
+        (void)by_pair.budget_ball_depth(w);
+        (void)by_batch.budget_ball_depth(w);
+      }
+    }
+
+    expect_same_state(" at the end");
+    const DistanceOracle::Stats stats = by_pair.stats();
+
+    // The batch answers what the oracle promises, not just what the pair
+    // path answers: exact inside the ball, never below the truth outside.
+    std::vector<NodeId> all(n);
+    std::iota(all.begin(), all.end(), NodeId{0});
+    for (NodeId u = 1; u < n; u += 17) {
+      std::vector<Hop> out(n);
+      by_batch.distances(u, all, out);
+      for (NodeId v = 0; v < n; ++v) {
+        if (by_batch.exact() || probe.certified_distance(u, v)) {
+          EXPECT_EQ(out[v], truth.distance(u, v)) << regime;
+        } else {
+          EXPECT_GE(out[v], truth.distance(u, v)) << regime;
+        }
+      }
+    }
+    if (by_pair.exact()) {
+      EXPECT_EQ(stats.exact_answers + stats.landmark_answers +
+                    stats.rows_built,
+                0u)
+          << "the dense regime keeps no counters";
+    } else {
+      EXPECT_GT(stats.rows_evicted, 0u) << "the cache budget must churn";
+      EXPECT_GT(stats.landmark_answers, 0u);
+      EXPECT_GT(straddling, 0u) << "some batches must straddle the horizon";
+    }
+    {
+      // The origin is at distance 0 without a row: a batch of nothing
+      // else builds none.
+      const DistanceOracle fresh(graph, options);
+      std::vector<Hop> out(2, 7);
+      fresh.distances(5, std::vector<NodeId>{5, 5}, out);
+      EXPECT_EQ(out, (std::vector<Hop>{0, 0})) << regime;
+      EXPECT_EQ(fresh.stats().rows_built, 0u) << regime;
+      EXPECT_EQ(fresh.cached_entries(), 0u) << regime;
+    }
+    std::vector<Hop> short_out(1);
+    EXPECT_THROW(by_batch.distances(0, std::vector<NodeId>{1, 2}, short_out),
+                 std::invalid_argument);
   }
 }
 

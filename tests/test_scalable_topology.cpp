@@ -262,25 +262,31 @@ TEST(ScalableTopology, HyperbolicGoldenMaster) {
 }
 
 TEST(ScalableTopology, ShardedEngineRunsCleanOverTheSparseOracle) {
-  // The split-phase engine proposes off-thread: concurrent distance and
-  // shell queries against the mutex-guarded sparse row cache (TSan covers
-  // the interleavings in the sanitizer CI job). Results must be
-  // rerun-stable under the sharded seed contract.
+  // The split-phase engine proposes off-thread: concurrent queries against
+  // the mutex-guarded sparse row cache (TSan covers the interleavings in
+  // the sanitizer CI job). `two-choice(r=5)` walks balls, whose shell
+  // queries sort stored levels in place; `prox-weighted` streams replica
+  // lists, one `distances` batch (and one lock hold) per 64 replicas.
+  // Results must be rerun-stable under the sharded seed contract, the
+  // second run over a cache the first one warmed.
   ExperimentConfig config;
   config.topology_spec =
       parse_topology_spec("rgg(n=200, radius=0.12, seed=9)");
   config.num_files = 40;
   config.cache_size = 5;
   config.popularity.kind = PopularityKind::Uniform;
-  config.strategy_spec = parse_strategy_spec("two-choice(r=5)");
   config.seed = 0xBEEF;
   config.threads = 3;
   const auto sparse = make_rgg_topology(200, 0.12, 9, sparse_exact(200));
-  const RunResult first = SimulationContext(config, sparse).run(0);
-  const RunResult again = SimulationContext(config, sparse).run(0);
-  EXPECT_EQ(first.requests, 200u);
-  EXPECT_EQ(first.max_load, again.max_load);
-  EXPECT_DOUBLE_EQ(first.comm_cost, again.comm_cost);
+  for (const char* strategy :
+       {"two-choice(r=5)", "prox-weighted(d=2, alpha=1)"}) {
+    config.strategy_spec = parse_strategy_spec(strategy);
+    const RunResult first = SimulationContext(config, sparse).run(0);
+    const RunResult again = SimulationContext(config, sparse).run(0);
+    EXPECT_EQ(first.requests, 200u) << strategy;
+    EXPECT_EQ(first.max_load, again.max_load) << strategy;
+    EXPECT_DOUBLE_EQ(first.comm_cost, again.comm_cost) << strategy;
+  }
 }
 
 }  // namespace
