@@ -333,7 +333,7 @@ void DistanceOracle::ensure_depth(Row& row, NodeId source, Hop d) const {
 
 void DistanceOracle::stream_beyond(
     const Row& row, NodeId source, Hop target,
-    FunctionRef<void(Hop, std::span<NodeId>)> fn) const {
+    FunctionRef<bool(Hop, std::span<NodeId>)> fn) const {
   if (row.complete) return;
   bind_marks(row, source);
   // Streamed levels go one after another into the reused scratch, each
@@ -356,8 +356,10 @@ void DistanceOracle::stream_beyond(
   std::size_t begin = 0;
   while (levels.size() > begin) {
     const std::size_t end = levels.size();
-    fn(depth, std::span(levels).subspan(begin, end - begin));
-    if (depth >= target) break;
+    if (!fn(depth, std::span(levels).subspan(begin, end - begin)) ||
+        depth >= target) {
+      break;
+    }
     if (++depth > kMaxStorableHops) throw_depth_overflow(source);
     for (std::size_t i = begin; i < end; ++i) expand(levels[i]);
     begin = end;
@@ -477,23 +479,81 @@ void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   Row& row = row_for(u);
   ensure_depth(row, u, d);
-  // Shells come out in increasing node-id order, the dense row scan's:
-  // a stored level is sorted in place the first time it is enumerated,
-  // a streamed one only at the requested depth.
+  // Shells come out in increasing node-id order, the dense row scan's,
+  // sorted in the stream scratch: a stored level as a copy (the row keeps
+  // its discovery order), a streamed one where it was streamed.
+  std::span<NodeId> shell;
   if (d < row.level_end.size()) {
-    for (; row.sorted_levels <= d; ++row.sorted_levels) {
-      const auto level = level_of(row, row.sorted_levels);
-      std::sort(level.begin(), level.end());
+    const auto level = level_of(row, d);
+    stream_levels_.assign(level.begin(), level.end());
+    shell = stream_levels_;
+  } else {
+    stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
+      if (depth == d) shell = level;
+      return true;
+    });
+  }
+  std::sort(shell.begin(), shell.end());
+  for (const NodeId v : shell) fn(v);
+}
+
+void DistanceOracle::walk_shells(NodeId u, Hop max_d,
+                                 const ShellCandidates& candidates,
+                                 ShellHitVisitor fn) const {
+  PROXCACHE_REQUIRE(u < n_ && (candidates.sorted.empty() ||
+                               candidates.sorted.back() < n_),
+                    "node id out of range");
+  if (dense_) {
+    // Scan the sorted candidates per shell: id order, the row scan's. The
+    // dense regime takes no lock, so the hits live on this call.
+    const std::uint16_t* row = dense_dist_.data() + std::size_t{u} * n_;
+    const Hop top = std::min(max_d, diameter_);
+    std::vector<NodeId> hits;
+    for (Hop d = 0; d <= top; ++d) {
+      hits.clear();
+      for (const NodeId v : candidates.sorted) {
+        if (row[v] == d) hits.push_back(v);
+      }
+      if (!fn(d, hits)) return;
     }
-    for (const NodeId v : level_of(row, d)) fn(v);
     return;
   }
-  stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
-    if (depth == d) {
-      std::sort(level.begin(), level.end());
-      for (const NodeId v : level) fn(v);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  Row& row = row_for(u);
+  // Stored levels grow exactly as a `visit_shell` per depth grows them;
+  // past the horizon, one stream carries the walk to its end.
+  for (Hop d = 0; d <= max_d; ++d) {
+    ensure_depth(row, u, d);
+    if (d >= row.level_end.size()) {
+      stream_beyond(row, u, max_d, [&](Hop depth, std::span<NodeId> level) {
+        return fn(depth, level_hits(level, depth, candidates));
+      });
+      return;
     }
-  });
+    const auto level = level_of(row, d);
+    if (level.size() >= candidates.sorted.size()) bind_marks(row, u);
+    if (!fn(d, level_hits(level, d, candidates))) return;
+  }
+}
+
+std::span<const NodeId> DistanceOracle::level_hits(
+    std::span<const NodeId> level, Hop d,
+    const ShellCandidates& candidates) const {
+  hits_.clear();
+  if (level.size() < candidates.sorted.size()) {
+    // The level is in discovery order: filter it, then order the hits.
+    for (const NodeId v : level) {
+      if (candidates.contains(v)) hits_.push_back(v);
+    }
+    std::sort(hits_.begin(), hits_.end());
+  } else {
+    // The marks know every depth through d: the sorted candidates at
+    // depth d are the level's hits, already in id order.
+    for (const NodeId v : candidates.sorted) {
+      if (mark_depth_[v] == d) hits_.push_back(v);
+    }
+  }
+  return hits_;
 }
 
 std::size_t DistanceOracle::shell_size(NodeId u, Hop d) const {
@@ -515,6 +575,7 @@ std::size_t DistanceOracle::shell_size(NodeId u, Hop d) const {
   std::size_t count = 0;
   stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
     if (depth == d) count = level.size();
+    return true;
   });
   return count;
 }
@@ -539,6 +600,7 @@ std::size_t DistanceOracle::ball_size(NodeId u, Hop r) const {
     stream_beyond(row, u, r, [&](Hop depth, std::span<NodeId> level) {
       (void)depth;
       count += level.size();
+      return true;
     });
   }
   return count;

@@ -24,11 +24,11 @@
 /// answer never depends on what was queried before, on cache eviction, or
 /// on thread interleaving):
 ///
-///  * `visit_shell`, `shell_size`, `ball_size`: always exact. The *stored*
-///    row never grows past the budget horizon; deeper levels are streamed
-///    on the fly from the truncated frontier through the shared mark
-///    scratch, so a diameter-deep ball walk costs BFS time but no resident
-///    row memory beyond the budget ball.
+///  * `visit_shell`, `walk_shells`, `shell_size`, `ball_size`: always
+///    exact. The *stored* row never grows past the budget horizon; deeper
+///    levels are streamed on the fly from the truncated frontier through
+///    the shared mark scratch, so a diameter-deep ball walk costs BFS time
+///    but no resident row memory beyond the budget ball.
 ///  * `distance(u, v)`: exact iff `v` lies inside the *budget ball* B*(u) —
 ///    the BFS ball truncated before the first level whose predicted size
 ///    (current ball + the frontier's degree sum, capped at n) exceeds
@@ -43,9 +43,9 @@
 ///
 /// Thread safety: all queries are safe from multiple threads. Sparse-mode
 /// queries serialize on one internal mutex (the row cache mutates); the
-/// dense regime is lock-free. A `distances` batch takes the mutex once.
-/// Visitor callbacks run under that mutex and must not re-enter the
-/// oracle.
+/// dense regime is lock-free. A `distances` batch and a `walk_shells` walk
+/// each take the mutex once. Visitor callbacks run under that mutex and
+/// must not re-enter the oracle.
 
 #include <cstdint>
 #include <list>
@@ -56,6 +56,7 @@
 
 #include "graph/compact_graph.hpp"
 #include "util/function_ref.hpp"
+#include "util/shell_candidates.hpp"
 #include "util/types.hpp"
 
 #include <mutex>
@@ -139,7 +140,24 @@ class DistanceOracle {
   [[nodiscard]] bool diameter_is_exact() const { return diameter_exact_; }
 
   /// Exact shell enumeration in increasing node-id order (both regimes).
+  /// Sparse mode sorts a copy of the level; rows keep discovery order.
   void visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const;
+
+  /// The shells of `u` from depth 0 outward, filtered by `candidates`:
+  /// `fn(d, hits)` with the candidates at distance exactly `d` in
+  /// increasing id order (`visit_shell`'s), until `fn` returns false or
+  /// `d` reaches `max_d`; the walk ends early once no node lies past `d`.
+  /// Sparse mode holds the lock and finds the row once for the whole walk,
+  /// grows the row as `visit_shell` would and streams each level past its
+  /// horizon once, so answers, counters and resident entries match
+  /// `visit_shell(u, 0), visit_shell(u, 1), …` filtered by the same
+  /// candidates. Per level it reads the shorter side: a level shorter than
+  /// `candidates.sorted` is filtered through `candidates.contains` and its
+  /// hits sorted; otherwise the sorted list is scanned against the depth
+  /// marks. `fn` runs under the oracle's mutex and must not re-enter the
+  /// oracle; `hits` lives in the oracle's scratch until `fn` returns.
+  void walk_shells(NodeId u, Hop max_d, const ShellCandidates& candidates,
+                   ShellHitVisitor fn) const;
 
   [[nodiscard]] std::size_t shell_size(NodeId u, Hop d) const;
   [[nodiscard]] std::size_t ball_size(NodeId u, Hop r) const;
@@ -155,11 +173,11 @@ class DistanceOracle {
   /// One on-demand BFS ball. Levels are stored concatenated in `nodes`
   /// with `level_end[d]` marking the end of depth `d`, each in BFS
   /// discovery order; the last level is the frontier that the next level
-  /// (stored, or streamed past the horizon) grows from. Distance lookups
-  /// never read the order: `visit_shell` sorts a level by node id in place
-  /// the first time it enumerates it (the order the dense row scan
-  /// produces). Membership/depth queries go through the shared flat mark
-  /// array (`bind_marks`) — a per-row hash map would dominate the BFS.
+  /// (stored, or streamed past the horizon) grows from. Nothing reorders a
+  /// stored level: distance lookups never read the order, `visit_shell`
+  /// sorts a copy, and `walk_shells` sorts only a level's hits.
+  /// Membership/depth queries go through the shared flat mark array
+  /// (`bind_marks`) — a per-row hash map would dominate the BFS.
   struct Row {
     std::vector<NodeId> nodes;
     std::vector<std::uint32_t> level_end;
@@ -170,8 +188,6 @@ class DistanceOracle {
     /// `update_budget_depth`.
     std::uint16_t budget_depth = 0;
     bool budget_depth_known = false;
-    /// Levels `[0, sorted_levels)` are sorted by node id.
-    std::uint16_t sorted_levels = 1;
   };
 
   [[nodiscard]] Hop dense_distance(NodeId u, NodeId v) const {
@@ -197,10 +213,16 @@ class DistanceOracle {
   /// BFS levels past the stored horizon, streamed from the row's last
   /// level through the mark scratch into `stream_levels_`, without
   /// growing the stored row: calls `fn(depth, level)` for each level in
-  /// (stored, target], in discovery order (`fn` may reorder it).
-  /// Invalidates the mark binding on return.
+  /// (stored, target], in discovery order (`fn` may reorder it), until
+  /// `fn` returns false. When `fn` runs, the marks hold every depth up to
+  /// `depth` and nothing deeper. Invalidates the mark binding on return.
   void stream_beyond(const Row& row, NodeId source, Hop target,
-                     FunctionRef<void(Hop, std::span<NodeId>)> fn) const;
+                     FunctionRef<bool(Hop, std::span<NodeId>)> fn) const;
+  /// The candidates on `level`, the nodes at depth `d` (marks bound
+  /// through `d` when `level` is not shorter than `candidates.sorted`), in
+  /// increasing id order, gathered in `hits_`.
+  std::span<const NodeId> level_hits(std::span<const NodeId> level, Hop d,
+                                     const ShellCandidates& candidates) const;
   void bind_marks(const Row& row, NodeId source) const;
   void evict_to_budget() const;
 
@@ -241,8 +263,11 @@ class DistanceOracle {
   mutable std::vector<std::uint16_t> mark_depth_;
   mutable std::vector<NodeId> mark_nodes_;
   mutable NodeId mark_owner_ = kInvalidNode;
-  /// `stream_beyond`'s levels, concatenated; reused across calls.
+  /// `stream_beyond`'s levels, concatenated, or the copy of a stored
+  /// level `visit_shell` sorts; reused across calls.
   mutable std::vector<NodeId> stream_levels_;
+  /// `walk_shells`' hits of the current level; reused across calls.
+  mutable std::vector<NodeId> hits_;
 };
 
 }  // namespace proxcache

@@ -88,19 +88,36 @@ NearestResult ReplicaIndex::nearest_by_shells(NodeId u, FileId j,
                                               Rng& rng) const {
   NearestResult result;
   const Hop diameter = topology_->diameter();
-  for (Hop d = 0; d <= diameter; ++d) {
-    ReservoirOne reservoir(rng);
-    for_each_at_distance(*topology_, u, d, [&](NodeId v) {
-      if (placement_->caches(v, j)) reservoir.offer(v);
-    });
-    if (reservoir.count() > 0) {
-      result.server = *reservoir.value();
-      result.distance = d;
-      result.ties = static_cast<std::uint32_t>(reservoir.count());
-      return result;
+  if (lattice_ != nullptr) {
+    for (Hop d = 0; d <= diameter; ++d) {
+      ReservoirOne reservoir(rng);
+      for_each_at_distance(*lattice_, u, d, [&](NodeId v) {
+        if (placement_->caches(v, j)) reservoir.offer(v);
+      });
+      if (reservoir.count() > 0) {
+        result.server = *reservoir.value();
+        result.distance = d;
+        result.ties = static_cast<std::uint32_t>(reservoir.count());
+        return result;
+      }
     }
+    return result;  // no replica anywhere
   }
-  return result;  // no replica anywhere
+  // Other topologies walk their shells once; the first shell holding a
+  // replica is offered in the topology's shell order.
+  const auto caches = [this, j](NodeId v) { return placement_->caches(v, j); };
+  topology_->walk_shells(
+      u, diameter, {placement_->replicas(j), caches},
+      [&](Hop d, std::span<const NodeId> hits) {
+        if (hits.empty()) return true;
+        ReservoirOne reservoir(rng);
+        for (const NodeId v : hits) reservoir.offer(v);
+        result.server = *reservoir.value();
+        result.distance = d;
+        result.ties = static_cast<std::uint32_t>(hits.size());
+        return false;
+      });
+  return result;
 }
 
 /// The walk makes no draw before shell d*, so a pass that finds d* and the

@@ -13,7 +13,16 @@
 ///  * **expanding-shell walk** — O(|B_d*|·log M): walk shells of increasing
 ///    distance around the requester until the first shell d* containing a
 ///    replica, testing every node with `Placement::caches` (a binary
-///    search), and finish that shell for ties;
+///    search), and finish that shell for ties. Off the lattice it is one
+///    `Topology::walk_shells` call. On a sparse graph that walk is one BFS
+///    under one lock hold, levels past the budget horizon streamed once,
+///    and each level costs min(|level|·log M, |S_j|): a level shorter than
+///    the replica list is filtered through `caches` and only its hits are
+///    sorted, a longer one is answered by scanning the list against the
+///    BFS depth marks. In perfbench's traced `graph-sparse` run (4-vCPU
+///    AMD EPYC) that costs ~7 µs per `nearest` query on
+///    `hyperbolic(n=32768, degree=10)`, against ~37 µs for sorting every
+///    level whole and testing each of its nodes;
 ///  * **list replay** (lattices only) — O(|S_j|): the walk's exact draws
 ///    from one list scan. The walk draws only in shell d*: one
 ///    `ReservoirOne::offer` per replica there, in `for_each_at_distance`
@@ -223,9 +232,14 @@ class ReplicaIndex {
       // again; there `d` may be a landmark upper bound, which only ever
       // *excludes* replicas whose true distance is within r, never admits
       // one beyond.
-      for_each_in_ball(*topology_, u, r, [&](NodeId v, Hop d) {
-        if (placement_->caches(v, j)) fn(v, d);
-      });
+      const auto caches = [this, j](NodeId v) {
+        return placement_->caches(v, j);
+      };
+      topology_->walk_shells(u, r, {placement_->replicas(j), caches},
+                             [&fn](Hop d, std::span<const NodeId> hits) {
+                               for (const NodeId v : hits) fn(v, d);
+                               return true;
+                             });
       return;
     }
     scan_replicas(u, j, r, std::forward<Fn>(fn));

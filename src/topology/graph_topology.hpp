@@ -62,6 +62,13 @@ class GraphTopology final : public Topology {
   /// regimes): a row scan when dense, the cached BFS level when sparse.
   void visit_shell(NodeId u, Hop d, NodeVisitor fn) const override;
 
+  /// The oracle's walk: one lock hold and one BFS per walk when sparse,
+  /// `fn` running under the oracle's mutex.
+  void walk_shells(NodeId u, Hop max_d, const ShellCandidates& candidates,
+                   ShellHitVisitor fn) const override {
+    oracle_.walk_shells(u, max_d, candidates, fn);
+  }
+
   /// Sparse regime only: shells come straight off BFS levels, so the
   /// expanding-shell search is O(|ball|), not O(n · diameter).
   [[nodiscard]] bool directly_enumerates_shells() const override {

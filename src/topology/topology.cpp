@@ -21,6 +21,20 @@ void Topology::visit_shell(NodeId u, Hop d, NodeVisitor fn) const {
   }
 }
 
+void Topology::walk_shells(NodeId u, Hop max_d,
+                           const ShellCandidates& candidates,
+                           ShellHitVisitor fn) const {
+  const Hop top = std::min(max_d, diameter());
+  std::vector<NodeId> hits;
+  for (Hop d = 0; d <= top; ++d) {
+    hits.clear();
+    visit_shell(u, d, [&](NodeId v) {
+      if (candidates.contains(v)) hits.push_back(v);
+    });
+    if (!fn(d, hits)) return;
+  }
+}
+
 std::size_t Topology::shell_size(NodeId u, Hop d) const {
   std::size_t count = 0;
   visit_shell(u, d, [&](NodeId) { ++count; });

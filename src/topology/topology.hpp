@@ -21,6 +21,9 @@
 ///    from `u`, each exactly once, in a *deterministic* order — the
 ///    reservoir-sampling query layer consumes RNG draws per visited node,
 ///    so enumeration order is part of the reproducibility contract;
+///  * `walk_shells(u, max_d, candidates, fn)` hands `fn` each shell's
+///    candidates in that same order; `fn` may run under the topology's
+///    internal lock, so it must not query the topology;
 ///  * `central_node()` is the deterministic "center" used by hotspot/flash
 ///    workloads to anchor demand discs.
 
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "util/function_ref.hpp"
+#include "util/shell_candidates.hpp"
 #include "util/types.hpp"
 
 namespace proxcache {
@@ -69,6 +73,19 @@ class Topology {
   /// override with direct enumeration.
   virtual void visit_shell(NodeId u, Hop d, NodeVisitor fn) const;
 
+  /// Walk the shells of `u` outward: `fn(d, hits)` for d = 0, 1, …, up to
+  /// `max_d`, with `hits` the candidates at distance exactly `d` in
+  /// `visit_shell`'s order, until `fn` returns false. The walk may end
+  /// early once no node lies past `d`. `fn` may run under the topology's
+  /// internal lock (the sparse distance oracle's) and must not query the
+  /// topology. The default filters `visit_shell(u, d)` through
+  /// `candidates.contains`, shell by shell; the sparse oracle walks its BFS
+  /// once, reading per shell whichever of `candidates`' two forms is
+  /// shorter.
+  virtual void walk_shells(NodeId u, Hop max_d,
+                           const ShellCandidates& candidates,
+                           ShellHitVisitor fn) const;
+
   /// True when `visit_shell` enumerates a shell in ~O(|shell|) without
   /// scanning all nodes. The expanding-shell nearest-replica search is only
   /// profitable on such topologies; on scan-based ones it would degenerate
@@ -78,7 +95,7 @@ class Topology {
   }
 
   /// True when radius-limited queries should walk the ball around the
-  /// requester (via `visit_shell`) instead of scanning global node/replica
+  /// requester (via `walk_shells`) instead of scanning global node/replica
   /// lists. Distinct from `directly_enumerates_shells`: ring/tree
   /// enumerate shells directly but answer `distance` in O(1), so list
   /// scans stay cheap there; a sparse graph oracle answers far-pair

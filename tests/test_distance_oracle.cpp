@@ -2,7 +2,8 @@
 // (on-demand truncated BFS + landmark upper bounds) must agree with the
 // dense all-pairs matrix wherever it claims exactness, answer
 // history-independently (no query order, eviction, or cache effect may
-// change a result), keep shells exact and id-sorted in both regimes, and
+// change a result), keep shells exact and id-sorted in both regimes, walk
+// them filtered by candidates exactly as per-shell queries would, and
 // reject over-deep graphs with a user-facing error instead of an internal
 // assertion. The landmark approximation is checked against exact BFS on
 // every registered topology at small n.
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -122,8 +124,8 @@ TEST(DistanceOracle, ShellsAreExactAndIdSortedInBothRegimes) {
     }
     {
       // Rows grown first through `budget_ball_depth` and `distance`: every
-      // stored level keeps its BFS discovery order until a shell query
-      // enumerates it.
+      // stored level is in BFS discovery order, and each shell query sorts
+      // a copy of it.
       const DistanceOracle sparse(graph, options);
       for (const NodeId u : origins) {
         const Hop horizon = sparse.budget_ball_depth(u);
@@ -145,6 +147,139 @@ TEST(DistanceOracle, ShellsAreExactAndIdSortedInBothRegimes) {
         expect_dense_shells(sparse, u, true, label + ", deepest first");
       }
     }
+  }
+}
+
+/// One `fn(d, hits)` call of a shell walk.
+using WalkStep = std::pair<Hop, std::vector<NodeId>>;
+
+TEST(DistanceOracle, WalkShellsMatchesFilteredShellsInBothRegimes) {
+  const auto rgg = make_rgg_topology(150, 0.16, 4);
+  const CompactGraph& graph = rgg->graph();
+  const std::size_t n = graph.num_vertices();
+  const DistanceOracle dense(graph, DistanceOracle::Options{});
+  ASSERT_TRUE(dense.exact());
+  const Hop top = dense.diameter() + 1;
+  std::vector<NodeId> origins;
+  for (NodeId u = 0; u < n; u += 37) origins.push_back(u);
+  origins.push_back(static_cast<NodeId>(n - 1));
+  // Deepest non-empty shell of each origin: a walk may end past it.
+  const auto eccentricity = [&](NodeId u) {
+    Hop ecc = 0;
+    for (Hop d = 0; d <= dense.diameter(); ++d) {
+      if (dense.shell_size(u, d) > 0) ecc = d;
+    }
+    return ecc;
+  };
+
+  // Candidate sets from none to all: the few are shorter than most
+  // levels (the sorted list is scanned against the marks), the many are
+  // longer than every level (each level is filtered and its hits sorted).
+  std::vector<std::vector<NodeId>> candidate_sets(5);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v % 41 == 3) candidate_sets[1].push_back(v);
+    if (v % 7 == 2) candidate_sets[2].push_back(v);
+    if (v % 3 != 0) candidate_sets[3].push_back(v);
+    candidate_sets[4].push_back(v);
+  }
+
+  // The walk from `walker` against `visit_shell` per depth from `twin`,
+  // filtered by the same candidates and stopped at the same `fn` answer:
+  // the same steps, and the same counters and resident entries after.
+  const auto expect_walk = [&](const DistanceOracle& walker,
+                               const DistanceOracle& twin, NodeId u,
+                               Hop max_d, Hop stop,
+                               const std::vector<NodeId>& sorted,
+                               const std::string& label) {
+    std::vector<bool> member(n, false);
+    for (const NodeId v : sorted) member[v] = true;
+    const auto contains = [&member](NodeId v) { return bool(member[v]); };
+
+    std::vector<WalkStep> walked;
+    walker.walk_shells(u, max_d, {sorted, contains},
+                       [&](Hop d, std::span<const NodeId> hits) {
+                         walked.emplace_back(
+                             d, std::vector<NodeId>(hits.begin(), hits.end()));
+                         return d < stop;
+                       });
+    std::vector<WalkStep> expected;
+    for (Hop d = 0; d <= std::min(max_d, twin.diameter()); ++d) {
+      std::vector<NodeId> hits;
+      twin.visit_shell(u, d, [&](NodeId v) {
+        if (member[v]) hits.push_back(v);
+      });
+      expected.emplace_back(d, std::move(hits));
+      if (d >= stop) break;
+    }
+
+    // The walk may end once no node lies past d; every step it skipped
+    // is an empty shell past the eccentricity.
+    ASSERT_LE(walked.size(), expected.size()) << label;
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      EXPECT_EQ(walked[i], expected[i]) << label << ", step " << i;
+    }
+    for (std::size_t i = walked.size(); i < expected.size(); ++i) {
+      EXPECT_GT(expected[i].first, eccentricity(u)) << label;
+      EXPECT_TRUE(expected[i].second.empty()) << label;
+    }
+    const DistanceOracle::Stats a = walker.stats();
+    const DistanceOracle::Stats b = twin.stats();
+    EXPECT_EQ(a.rows_built, b.rows_built) << label;
+    EXPECT_EQ(a.rows_evicted, b.rows_evicted) << label;
+    EXPECT_EQ(a.exact_answers, b.exact_answers) << label;
+    EXPECT_EQ(a.landmark_answers, b.landmark_answers) << label;
+    EXPECT_EQ(walker.cached_entries(), twin.cached_entries()) << label;
+  };
+
+  // The dense regime, then ball budgets as in the shell test: 8 streams
+  // nearly every shell, 120 stores three levels, n stores every level. The
+  // small row cache makes the origins evict one another.
+  std::vector<std::pair<std::string, DistanceOracle::Options>> regimes = {
+      {"dense", DistanceOracle::Options{}}};
+  for (const std::size_t budget : {std::size_t{8}, std::size_t{120}, n}) {
+    DistanceOracle::Options options = sparse_exact_options(n);
+    options.distance_ball_budget = budget;
+    options.cache_entry_budget = 2 * n;
+    regimes.emplace_back("budget " + std::to_string(budget), options);
+  }
+  std::size_t filtered_levels = 0;  // level shorter than the candidates
+  std::size_t scanned_levels = 0;   // candidates scanned against the marks
+  std::vector<std::size_t> past_horizon;  // how far each stop lies past it
+  for (const auto& [regime, options] : regimes) {
+    const DistanceOracle walker(graph, options);
+    const DistanceOracle twin(graph, options);
+    const bool sparse = !walker.exact();
+    ASSERT_EQ(sparse, regime != "dense");
+    for (const NodeId u : origins) {
+      const Hop horizon = walker.budget_ball_depth(u);
+      (void)twin.budget_ball_depth(u);
+      for (std::size_t c = 0; c < candidate_sets.size(); ++c) {
+        const std::vector<NodeId>& sorted = candidate_sets[c];
+        const std::string label = regime + ", u=" + std::to_string(u) +
+                                  ", set " + std::to_string(c);
+        for (Hop d = 0; d <= eccentricity(u) && sparse; ++d) {
+          (dense.shell_size(u, d) < sorted.size() ? filtered_levels
+                                                  : scanned_levels)++;
+        }
+        for (Hop s = 0; s <= top; ++s) {
+          // Stopped by `fn` at every depth, then cut by `max_d` there.
+          expect_walk(walker, twin, u, top, s,
+                      sorted, label + ", stop " + std::to_string(s));
+          expect_walk(walker, twin, u, s, kUnboundedRadius, sorted,
+                      label + ", max_d " + std::to_string(s));
+          if (sparse && s >= horizon && s <= eccentricity(u)) {
+            past_horizon.push_back(s - horizon);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(filtered_levels, 0u);
+  EXPECT_GT(scanned_levels, 0u);
+  for (const std::size_t beyond : {0u, 1u, 2u, 3u}) {
+    EXPECT_NE(std::find(past_horizon.begin(), past_horizon.end(), beyond),
+              past_horizon.end())
+        << "no walk ended " << beyond << " levels past the horizon";
   }
 }
 

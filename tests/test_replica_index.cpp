@@ -1,14 +1,17 @@
 // Tests for spatial/replica_index: the nearest-replica paths must agree with
 // each other and with brute force (distance and tie count), both shell
 // replays must equal the shell walk draw for draw, radius streams must
-// match the distance predicate with and without bucket grids, and a run
-// builds only the grids and coordinates its strategy's passes read.
+// match the distance predicate with and without bucket grids, a run
+// builds only the grids and coordinates its strategy's passes read, and
+// off the lattice the one-walk shell paths must equal the per-shell loop
+// they replaced, draw for draw.
 #include "spatial/replica_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +20,10 @@
 #include "core/run_harness.hpp"
 #include "strategy/registry.hpp"
 #include "strategy/spec.hpp"
+#include "topology/clique.hpp"
+#include "topology/graph_topology.hpp"
+#include "topology/hyperbolic.hpp"
+#include "topology/ring.hpp"
 #include "topology/spec.hpp"
 
 namespace proxcache {
@@ -548,6 +555,130 @@ TEST(ReplicaIndex, RunsBuildOnlyTheGridsAndCoordinatesTheirPassesRead) {
     EXPECT_GE(gridded, 2u);
     EXPECT_GE(past_band, 2u);
     EXPECT_GE(in_band, 2u);
+  }
+}
+
+/// The per-shell reference for `nearest_by_shells` off the lattice: one
+/// `visit_shell` per depth, every node tested with `caches`, a fresh
+/// reservoir per shell.
+NearestResult nearest_by_shell_loop(const Topology& topology,
+                                    const Placement& placement, NodeId u,
+                                    FileId j, Rng& rng) {
+  NearestResult result;
+  for (Hop d = 0; d <= topology.diameter(); ++d) {
+    ReservoirOne reservoir(rng);
+    topology.visit_shell(u, d, [&](NodeId v) {
+      if (placement.caches(v, j)) reservoir.offer(v);
+    });
+    if (reservoir.count() > 0) {
+      result.server = *reservoir.value();
+      result.distance = d;
+      result.ties = static_cast<std::uint32_t>(reservoir.count());
+      return result;
+    }
+  }
+  return result;
+}
+
+/// The per-shell reference for the ball walk of `for_each_replica_within`,
+/// with the horizon query that guards the walk.
+std::vector<std::pair<NodeId, Hop>> ball_walk_loop(
+    const Topology& topology, const Placement& placement, NodeId u,
+    FileId j, Hop r) {
+  (void)topology.local_enumeration_horizon(u);
+  std::vector<std::pair<NodeId, Hop>> out;
+  for (Hop d = 0; d <= std::min(r, topology.diameter()); ++d) {
+    topology.visit_shell(u, d, [&](NodeId v) {
+      if (placement.caches(v, j)) out.emplace_back(v, d);
+    });
+  }
+  return out;
+}
+
+TEST(ReplicaIndex, ShellWalksMatchThePerShellLoopOffTheLattice) {
+  // Each topology is built twice: the index walks one, the old loop runs
+  // on its twin, and both oracles must end in the same state. Small ball
+  // budgets put the nearest replica's shell past the stored horizon, so
+  // the walk streams; a Zipf catalog gives files both longer and shorter
+  // than the levels, so both of the walk's passes run.
+  struct Case {
+    std::string label;
+    std::shared_ptr<const Topology> walked;
+    std::shared_ptr<const Topology> twin;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t budget : {std::size_t{16}, std::size_t{96},
+                                   std::size_t{600}}) {
+    GraphTopology::Options options;
+    options.dense_threshold = 0;
+    options.distance_ball_budget = budget;
+    options.cache_entry_budget = 4096;
+    const std::string suffix = ", budget " + std::to_string(budget);
+    cases.push_back({"rgg" + suffix, make_rgg_topology(600, 0.07, 5, options),
+                     make_rgg_topology(600, 0.07, 5, options)});
+    cases.push_back(
+        {"hyperbolic" + suffix,
+         make_hyperbolic_topology(600, 8.0, 0.75, 5, options),
+         make_hyperbolic_topology(600, 8.0, 0.75, 5, options)});
+  }
+  cases.push_back({"ring", std::make_shared<RingTopology>(300),
+                   std::make_shared<RingTopology>(300)});
+  cases.push_back({"clique", std::make_shared<CliqueTopology>(60),
+                   std::make_shared<CliqueTopology>(60)});
+
+  for (const Case& c : cases) {
+    const std::size_t n = c.walked->size();
+    Rng placement_rng(41);
+    const Placement placement = Placement::generate(
+        n, Popularity::zipf(40, 1.1), 4,
+        PlacementMode::ProportionalWithReplacement, placement_rng);
+    const ReplicaIndex index(*c.walked, placement);
+    const auto* graph = dynamic_cast<const GraphTopology*>(c.walked.get());
+    std::size_t streamed = 0;
+    std::size_t ball_walks = 0;
+    for (NodeId u = 0; u < n; u += 7) {
+      for (FileId j = 0; j < placement.num_files(); ++j) {
+        const std::string where = c.label + ", u=" + std::to_string(u) +
+                                  ", j=" + std::to_string(j);
+        Rng walk_rng(u * 131 + j);
+        Rng loop_rng(u * 131 + j);
+        const NearestResult walked = index.nearest_by_shells(u, j, walk_rng);
+        const NearestResult looped =
+            nearest_by_shell_loop(*c.twin, placement, u, j, loop_rng);
+        EXPECT_EQ(walked.server, looped.server) << where;
+        EXPECT_EQ(walked.distance, looped.distance) << where;
+        EXPECT_EQ(walked.ties, looped.ties) << where;
+        EXPECT_EQ(walk_rng.bits(), loop_rng.bits()) << where;
+        if (graph == nullptr) continue;
+        const Hop horizon = c.walked->local_enumeration_horizon(u);
+        (void)c.twin->local_enumeration_horizon(u);
+        if (walked.server != kInvalidNode && walked.distance > horizon) {
+          ++streamed;
+        }
+        for (Hop r = 0; r <= horizon && r < c.walked->diameter(); ++r) {
+          std::vector<std::pair<NodeId, Hop>> emitted;
+          index.for_each_replica_within(
+              u, j, r, [&](NodeId v, Hop d) { emitted.emplace_back(v, d); });
+          EXPECT_EQ(emitted, ball_walk_loop(*c.twin, placement, u, j, r))
+              << where << ", r=" << r;
+          ++ball_walks;
+        }
+      }
+    }
+    if (graph == nullptr) continue;
+    const auto* twin = dynamic_cast<const GraphTopology*>(c.twin.get());
+    const DistanceOracle::Stats a = graph->oracle().stats();
+    const DistanceOracle::Stats b = twin->oracle().stats();
+    EXPECT_EQ(a.rows_built, b.rows_built) << c.label;
+    EXPECT_EQ(a.rows_evicted, b.rows_evicted) << c.label;
+    EXPECT_EQ(a.exact_answers, b.exact_answers) << c.label;
+    EXPECT_EQ(a.landmark_answers, b.landmark_answers) << c.label;
+    EXPECT_EQ(graph->oracle().cached_entries(), twin->oracle().cached_entries())
+        << c.label;
+    EXPECT_GT(ball_walks, 0u) << c.label;
+    if (graph->oracle().options().distance_ball_budget == 16) {
+      EXPECT_GT(streamed, 0u) << c.label << ": no nearest walk streamed";
+    }
   }
 }
 

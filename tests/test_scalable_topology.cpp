@@ -264,11 +264,14 @@ TEST(ScalableTopology, HyperbolicGoldenMaster) {
 TEST(ScalableTopology, ShardedEngineRunsCleanOverTheSparseOracle) {
   // The split-phase engine proposes off-thread: concurrent queries against
   // the mutex-guarded sparse row cache (TSan covers the interleavings in
-  // the sanitizer CI job). `two-choice(r=5)` walks balls, whose shell
-  // queries sort stored levels in place; `prox-weighted` streams replica
-  // lists, one `distances` batch (and one lock hold) per 64 replicas.
-  // Results must be rerun-stable under the sharded seed contract, the
-  // second run over a cache the first one warmed.
+  // the sanitizer CI job). `nearest` walks shells and `two-choice(r=5)`
+  // walks balls, each walk one lock hold over the oracle's shared hit
+  // scratch; `prox-weighted` streams replica lists, one `distances` batch
+  // (and one lock hold) per 64 replicas. On the second graph a ball
+  // budget of 8 stores no row past depth 2, so the lanes' walks stream
+  // past the horizon. Results must be rerun-stable under the
+  // sharded seed contract, the second run over a cache the first one
+  // warmed.
   ExperimentConfig config;
   config.topology_spec =
       parse_topology_spec("rgg(n=200, radius=0.12, seed=9)");
@@ -277,15 +280,23 @@ TEST(ScalableTopology, ShardedEngineRunsCleanOverTheSparseOracle) {
   config.popularity.kind = PopularityKind::Uniform;
   config.seed = 0xBEEF;
   config.threads = 3;
-  const auto sparse = make_rgg_topology(200, 0.12, 9, sparse_exact(200));
-  for (const char* strategy :
-       {"two-choice(r=5)", "prox-weighted(d=2, alpha=1)"}) {
-    config.strategy_spec = parse_strategy_spec(strategy);
-    const RunResult first = SimulationContext(config, sparse).run(0);
-    const RunResult again = SimulationContext(config, sparse).run(0);
-    EXPECT_EQ(first.requests, 200u) << strategy;
-    EXPECT_EQ(first.max_load, again.max_load) << strategy;
-    EXPECT_DOUBLE_EQ(first.comm_cost, again.comm_cost) << strategy;
+  GraphTopology::Options small_ball = sparse_exact(200);
+  small_ball.distance_ball_budget = 8;
+  const auto streaming = make_rgg_topology(200, 0.12, 9, small_ball);
+  for (NodeId u = 0; u < 200; ++u) {
+    ASSERT_LE(streaming->local_enumeration_horizon(u), 2u) << u;
+  }
+  for (const auto& sparse :
+       {make_rgg_topology(200, 0.12, 9, sparse_exact(200)), streaming}) {
+    for (const char* strategy :
+         {"nearest", "two-choice(r=5)", "prox-weighted(d=2, alpha=1)"}) {
+      config.strategy_spec = parse_strategy_spec(strategy);
+      const RunResult first = SimulationContext(config, sparse).run(0);
+      const RunResult again = SimulationContext(config, sparse).run(0);
+      EXPECT_EQ(first.requests, 200u) << strategy;
+      EXPECT_EQ(first.max_load, again.max_load) << strategy;
+      EXPECT_DOUBLE_EQ(first.comm_cost, again.comm_cost) << strategy;
+    }
   }
 }
 

@@ -11,8 +11,11 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "topology/clique.hpp"
 #include "topology/graph_topology.hpp"
 #include "topology/hyperbolic.hpp"
 #include "topology/lattice.hpp"
@@ -229,6 +232,57 @@ TEST(Topology, GenericBallEnumerationOrdersByDistance) {
   ASSERT_EQ(distances.size(), ring.ball_size(4, 3));
   EXPECT_TRUE(std::is_sorted(distances.begin(), distances.end()));
   EXPECT_EQ(collect_ball(ring, 4, 3).size(), 7u);
+}
+
+TEST(Topology, DefaultShellWalkKeepsVisitShellOrder) {
+  // Ring and clique walk through the default: each shell is `visit_shell`
+  // filtered, in its order — on the ring forward then backward, which is
+  // not id order.
+  const RingTopology ring(10);
+  std::vector<NodeId> everyone(10);
+  for (NodeId v = 0; v < 10; ++v) everyone[v] = v;
+  const auto always = [](NodeId) { return true; };
+  std::vector<std::vector<NodeId>> shells;
+  ring.walk_shells(5, 3, {everyone, always},
+                   [&](Hop, std::span<const NodeId> hits) {
+                     shells.emplace_back(hits.begin(), hits.end());
+                     return true;
+                   });
+  EXPECT_EQ(shells, (std::vector<std::vector<NodeId>>{
+                        {5}, {6, 4}, {7, 3}, {8, 2}}));
+
+  const CliqueTopology clique(7);
+  for (const Topology* topology :
+       {static_cast<const Topology*>(&ring),
+        static_cast<const Topology*>(&clique)}) {
+    const std::size_t n = topology->size();
+    std::vector<NodeId> odd;
+    for (NodeId v = 1; v < n; v += 2) odd.push_back(v);
+    const auto is_odd = [](NodeId v) { return v % 2 == 1; };
+    for (NodeId u = 0; u < n; ++u) {
+      for (Hop stop = 0; stop <= topology->diameter() + 1; ++stop) {
+        std::vector<std::pair<Hop, std::vector<NodeId>>> walked;
+        topology->walk_shells(u, kUnboundedRadius, {odd, is_odd},
+                              [&](Hop d, std::span<const NodeId> hits) {
+                                walked.emplace_back(
+                                    d, std::vector<NodeId>(hits.begin(),
+                                                           hits.end()));
+                                return d < stop;
+                              });
+        std::vector<std::pair<Hop, std::vector<NodeId>>> expected;
+        for (Hop d = 0; d <= topology->diameter(); ++d) {
+          std::vector<NodeId> hits;
+          topology->visit_shell(u, d, [&](NodeId v) {
+            if (is_odd(v)) hits.push_back(v);
+          });
+          expected.emplace_back(d, std::move(hits));
+          if (d >= stop) break;
+        }
+        EXPECT_EQ(walked, expected)
+            << topology->describe() << " u=" << u << " stop=" << stop;
+      }
+    }
+  }
 }
 
 }  // namespace
