@@ -211,21 +211,30 @@ RunResult ShardedRunner::run(std::uint64_t run_index,
     }
   };
 
+  // Both buffers stay in flight: batch B commits while B+1 proposes, and
+  // B's buffer is refilled with B+2 and dispatched before B+1 is joined.
+  // So the pool holds queued chunks whenever the main thread is busy, and
+  // a propose-bound run's workers go from one batch to the next without
+  // sleeping. Buffers are joined, committed and refilled in fill order.
   try {
-    BatchBuffer* current = &buffers[0];
-    BatchBuffer* next = &buffers[1];
-    std::size_t current_id = 0;
-    bool have = fill(*current);
-    dispatch(*current, current_id);
-    while (have) {
-      // Overlap: generate the next batch while the current one proposes.
-      const bool have_next = fill(*next);
-      join(*current);
-      if (have_next) dispatch(*next, 1 - current_id);
-      commit(*current);
-      std::swap(current, next);
-      current_id = 1 - current_id;
-      have = have_next;
+    std::size_t in_flight = 0;
+    bool more = true;
+    for (std::size_t id = 0; id < buffers.size() && more; ++id) {
+      more = fill(buffers[id]);
+      if (more) {
+        dispatch(buffers[id], id);
+        ++in_flight;
+      }
+    }
+    for (std::size_t id = 0; in_flight > 0; id = 1 - id) {
+      join(buffers[id]);
+      commit(buffers[id]);
+      --in_flight;
+      if (more) more = fill(buffers[id]);
+      if (more) {
+        dispatch(buffers[id], id);
+        ++in_flight;
+      }
     }
   } catch (...) {
     drain_all();

@@ -27,14 +27,17 @@
 ///      per-request pinned Rng          per-request pinned Rng)
 ///      derivation, serial, legacy
 ///      streams)
-///     fill batch B+1 (overlapped)
-///     join B ◀────────────────        …
-///     commit B (choose + commit       propose B+1
+///     fill batch B+1 ──chunks──▶      …
+///     join B ◀────────────────        propose B+1
+///     commit B (choose + commit       …
 ///      per request, in order)
+///     fill batch B+2 ──chunks──▶      …
+///     join B+1 ◀──────────────
 ///
-/// Two batch buffers double-buffer the pipeline: while batch B's proposals
-/// are in flight, the main thread generates batch B+1; while B+1 proposes,
-/// B commits. Each chunk owns a private strategy instance ("lane") and
+/// Two batch buffers are both in flight: while batch B commits, B+1
+/// proposes, and B's buffer is refilled with B+2 and dispatched before B+1
+/// is joined, so the pool holds queued chunks whenever the main thread is
+/// busy. Each chunk owns a private strategy instance ("lane") and
 /// arena, so workers share only immutable state (topology, placement,
 /// replica index). The commit loop is the serial loop's tail: for each
 /// slot in request order, `choose` on the commit thread's strategy against
