@@ -1,9 +1,11 @@
 #include "graph/distance_oracle.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "util/contracts.hpp"
 
@@ -60,14 +62,124 @@ std::pair<std::size_t, Hop> bfs_full(const CompactGraph& graph, NodeId source,
   return {frontier.size(), depth > 0 ? depth - 1 : 0};
 }
 
-/// Level `d` of a cached BFS row: its stored nodes, in the row's order.
-template <typename Row>
-auto level_of(Row& row, std::size_t d) {
-  const std::uint32_t begin = d == 0 ? 0 : row.level_end[d - 1];
-  return std::span(row.nodes).subspan(begin, row.level_end[d] - begin);
+/// Level `d` of a slot's row: its stored nodes, in the row's order.
+template <typename Slot>
+auto level_of(Slot& slot, std::size_t d) {
+  const std::uint32_t begin = d == 0 ? 0 : slot.level_end[d - 1];
+  return std::span(slot.nodes).subspan(begin, slot.level_end[d] - begin);
 }
 
 }  // namespace
+
+/// One caller's BFS state. A query leases it (`Lease`) and is its only
+/// user until the lease ends, so nothing in it needs a lock.
+///
+/// The row is the budget-truncated BFS ball of `origin`: levels stored
+/// concatenated in `nodes` with `level_end[d]` marking the end of depth
+/// `d`, each in BFS discovery order; the last level is the frontier that
+/// the next level (stored, or streamed past the horizon) grows from.
+/// Nothing reorders a stored level: distance lookups never read the order,
+/// `visit_shell` sorts a copy, and `walk_shells` sorts only a level's hits.
+/// Membership and depth queries read `marks`, O(n) and indexed by node (a
+/// per-row hash map would dominate the BFS): the depth of every row node,
+/// kUnreached elsewhere. A stream marks its levels too and unmarks them
+/// when it ends. A new origin unmarks the old row's nodes and reuses every
+/// buffer, so serving it allocates nothing once the buffers have grown.
+struct DistanceOracle::Scratch {
+  explicit Scratch(std::size_t n) : marks(n, kUnreached) {}
+
+  NodeId origin = kInvalidNode;  ///< whose row this is; none at first
+  std::vector<NodeId> nodes;
+  std::vector<std::uint32_t> level_end;
+  bool complete = false;  ///< ball == whole graph
+  /// Last level of the *budget-truncated* BFS — the exactness horizon of
+  /// `distance`. Set once per origin, when a level's predicted successor no
+  /// longer fits `distance_ball_budget` (or the graph is exhausted); see
+  /// `update_budget_depth`.
+  std::uint16_t budget_depth = 0;
+  bool budget_depth_known = false;
+  std::vector<std::uint16_t> marks;
+  /// `stream_beyond`'s levels, concatenated, or the copy of a stored level
+  /// `visit_shell` sorts.
+  std::vector<NodeId> stream;
+  std::vector<NodeId> hits;  ///< `walk_shells`' hits of the current level
+  Stats stats;  ///< counted since the slot was last returned
+  /// `nodes.size()` when the slot was last returned (under slots_mutex_).
+  std::size_t resident = 0;
+};
+
+/// An idle slot, with what a pick compares, so that picking reads no slot.
+struct DistanceOracle::IdleSlot {
+  NodeId origin;          ///< whose row the slot holds
+  std::thread::id owner;  ///< the thread that returned it
+  std::unique_ptr<Scratch> slot;
+};
+
+/// A slot held for one query from `origin`, its row pointed at `origin`'s.
+/// The pick runs under `slots_mutex_`, held for nothing else: a free slot
+/// already holding `origin`'s row, else one this thread returned, else
+/// the one returned last, else a new slot — so the pool grows to the
+/// number of concurrent callers. A slot another core used last costs its
+/// marks and row in cache misses: four `prox-weighted` replications on a
+/// 32768-node rgg took 35% more CPU time on 4 workers when picks ignored
+/// the thread. The end of the lease, on an exception too, folds the
+/// slot's counters and resident entries into the oracle's and returns the
+/// slot.
+class DistanceOracle::Lease {
+ public:
+  Lease(const DistanceOracle& oracle, NodeId origin) : oracle_(oracle) {
+    const std::thread::id self = std::this_thread::get_id();
+    {
+      std::lock_guard<std::mutex> lock(oracle.slots_mutex_);
+      auto& idle = oracle.free_slots_;
+      auto pick = std::find_if(idle.begin(), idle.end(),
+                               [origin](const IdleSlot& entry) {
+                                 return entry.origin == origin;
+                               });
+      if (pick == idle.end()) {
+        pick = std::find_if(
+            idle.begin(), idle.end(),
+            [self](const IdleSlot& entry) { return entry.owner == self; });
+      }
+      if (pick == idle.end() && !idle.empty()) pick = std::prev(idle.end());
+      if (pick != idle.end()) {
+        slot_ = std::move(pick->slot);
+        idle.erase(pick);
+      } else {
+        // Room for every slot, so returning one never reallocates.
+        idle.reserve(++oracle.slot_count_);
+      }
+    }
+    if (slot_ == nullptr) slot_ = std::make_unique<Scratch>(oracle.n_);
+    oracle.start_row(*slot_, origin);
+  }
+
+  ~Lease() {
+    Scratch& slot = *slot_;
+    const std::thread::id self = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(oracle_.slots_mutex_);
+    Stats& total = oracle_.stats_;
+    total.rows_built += slot.stats.rows_built;
+    total.rows_evicted += slot.stats.rows_evicted;
+    total.exact_answers += slot.stats.exact_answers;
+    total.landmark_answers += slot.stats.landmark_answers;
+    slot.stats = Stats{};
+    oracle_.cached_entries_ =
+        oracle_.cached_entries_ - slot.resident + slot.nodes.size();
+    slot.resident = slot.nodes.size();
+    oracle_.free_slots_.push_back({slot.origin, self, std::move(slot_)});
+  }
+
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+
+  Scratch& operator*() const { return *slot_; }
+
+ private:
+  const DistanceOracle& oracle_;
+  std::unique_ptr<Scratch> slot_;
+};
+
 
 DistanceOracle::DistanceOracle(const CompactGraph& graph, Options options)
     : graph_(&graph), n_(graph.num_vertices()), options_(options) {
@@ -79,6 +191,8 @@ DistanceOracle::DistanceOracle(const CompactGraph& graph, Options options)
     build_sparse(graph);
   }
 }
+
+DistanceOracle::~DistanceOracle() = default;
 
 void DistanceOracle::build_dense(const CompactGraph& graph) {
   const auto n = static_cast<std::uint32_t>(n_);
@@ -95,7 +209,6 @@ void DistanceOracle::build_dense(const CompactGraph& graph) {
 }
 
 void DistanceOracle::build_sparse(const CompactGraph& graph) {
-  mark_depth_.assign(n_, kUnreached);
   const std::size_t k = std::max<std::size_t>(1, std::min(options_.num_landmarks, n_));
   landmark_dist_.assign(k * n_, kUnreached);
   landmarks_.reserve(k);
@@ -218,86 +331,49 @@ Hop DistanceOracle::landmark_bound(const std::uint16_t* origin,
   return best;
 }
 
-DistanceOracle::Row& DistanceOracle::row_for(NodeId u) const {
-  auto it = rows_.find(u);
-  if (it != rows_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return *it->second.row;
+void DistanceOracle::start_row(Scratch& slot, NodeId origin) const {
+  if (slot.origin == origin) return;
+  if (slot.origin != kInvalidNode) {
+    for (const NodeId v : slot.nodes) slot.marks[v] = kUnreached;
+    ++slot.stats.rows_evicted;
   }
-  // A fresh row for `u` must not inherit marks from an evicted incarnation.
-  if (mark_owner_ == u) mark_owner_ = kInvalidNode;
-  auto row = std::make_unique<Row>();
-  row->nodes.push_back(u);
-  row->level_end.push_back(1);
-  if (n_ == 1) row->complete = true;
-  update_budget_depth(*row);
-  lru_.push_front(u);
-  CacheSlot slot;
-  slot.row = std::move(row);
-  slot.lru_pos = lru_.begin();
-  Row& result = *slot.row;
-  rows_.emplace(u, std::move(slot));
-  cached_entries_ += 1;
-  ++stats_.rows_built;
-  evict_to_budget();
-  return result;
+  slot.origin = origin;
+  slot.nodes.assign(1, origin);
+  slot.level_end.assign(1, 1);
+  slot.complete = n_ == 1;
+  slot.budget_depth_known = false;
+  slot.marks[origin] = 0;
+  ++slot.stats.rows_built;
+  update_budget_depth(slot);
 }
 
-void DistanceOracle::evict_to_budget() const {
-  // Never evict the most recent row — it is the one in use by the caller.
-  while (cached_entries_ > options_.cache_entry_budget && lru_.size() > 1) {
-    const NodeId victim = lru_.back();
-    lru_.pop_back();
-    auto it = rows_.find(victim);
-    cached_entries_ -= it->second.row->nodes.size();
-    rows_.erase(it);
-    if (mark_owner_ == victim) mark_owner_ = kInvalidNode;
-    ++stats_.rows_evicted;
-  }
-}
-
-void DistanceOracle::bind_marks(const Row& row, NodeId source) const {
-  if (mark_owner_ == source) return;
-  for (const NodeId v : mark_nodes_) mark_depth_[v] = kUnreached;
-  mark_nodes_.clear();
-  mark_nodes_.reserve(row.nodes.size());
-  for (std::size_t d = 0; d < row.level_end.size(); ++d) {
-    for (const NodeId v : level_of(row, d)) {
-      mark_depth_[v] = static_cast<std::uint16_t>(d);
-      mark_nodes_.push_back(v);
-    }
-  }
-  mark_owner_ = source;
-}
-
-void DistanceOracle::extend_row(Row& row, NodeId source) const {
-  if (row.complete) return;
-  bind_marks(row, source);
-  const Hop depth = static_cast<Hop>(row.level_end.size());
-  if (depth > kMaxStorableHops) throw_depth_overflow(source);
+void DistanceOracle::extend_row(Scratch& slot) const {
+  if (slot.complete) return;
+  const Hop depth = static_cast<Hop>(slot.level_end.size());
+  if (depth > kMaxStorableHops) throw_depth_overflow(slot.origin);
   // The new level grows from the last stored one straight onto the end of
   // `nodes`, in discovery order; indices, since push_back may reallocate.
-  const std::uint32_t begin = depth == 1 ? 0 : row.level_end[depth - 2];
-  const std::uint32_t end = row.level_end.back();
+  // A node is stored before it is marked: should push_back throw, a rerun
+  // of this level finds exactly the unmarked rest, in the same order.
+  const std::uint32_t begin = depth == 1 ? 0 : slot.level_end[depth - 2];
+  const std::uint32_t end = slot.level_end.back();
   for (std::uint32_t i = begin; i < end; ++i) {
-    for (const std::uint32_t v : graph_->neighbors(row.nodes[i])) {
-      if (mark_depth_[v] == kUnreached) {
-        mark_depth_[v] = static_cast<std::uint16_t>(depth);
-        mark_nodes_.push_back(v);
-        row.nodes.push_back(v);
+    for (const std::uint32_t v : graph_->neighbors(slot.nodes[i])) {
+      if (slot.marks[v] == kUnreached) {
+        slot.nodes.push_back(v);
+        slot.marks[v] = static_cast<std::uint16_t>(depth);
       }
     }
   }
-  if (row.nodes.size() == end) {
-    row.complete = true;  // the graph is exhausted
+  if (slot.nodes.size() == end) {
+    slot.complete = true;  // the graph is exhausted
   } else {
-    row.level_end.push_back(static_cast<std::uint32_t>(row.nodes.size()));
-    cached_entries_ += row.nodes.size() - end;
+    slot.level_end.push_back(static_cast<std::uint32_t>(slot.nodes.size()));
   }
-  update_budget_depth(row);
+  update_budget_depth(slot);
 }
 
-void DistanceOracle::update_budget_depth(Row& row) const {
+void DistanceOracle::update_budget_depth(Scratch& slot) const {
   // B*(u) ends at the first level whose *predicted* successor cannot fit:
   // the next level's size is bounded by the current level's degree sum
   // (capped at n — degree sums overcount already-visited neighbors), so
@@ -307,52 +383,56 @@ void DistanceOracle::update_budget_depth(Row& row) const {
   // horizon stays a pure function of the graph and the budget. A row
   // grows only while its horizon is unknown, so every shallower level
   // passed this check when it was stored: only the newest one is checked.
-  const std::size_t last = row.level_end.size() - 1;
+  const std::size_t last = slot.level_end.size() - 1;
   std::size_t degree_sum = 0;
-  for (const NodeId v : level_of(row, last)) degree_sum += graph_->degree(v);
+  for (const NodeId v : level_of(slot, last)) degree_sum += graph_->degree(v);
   const std::size_t predicted =
-      std::min<std::size_t>(row.level_end[last] + degree_sum, n_);
-  if (row.complete || predicted > options_.distance_ball_budget) {
-    row.budget_depth = static_cast<std::uint16_t>(last);
-    row.budget_depth_known = true;
-    // The stored row is final (deeper levels stream): drop the growth
-    // slack of its node list.
-    row.nodes.shrink_to_fit();
+      std::min<std::size_t>(slot.level_end[last] + degree_sum, n_);
+  if (slot.complete || predicted > options_.distance_ball_budget) {
+    slot.budget_depth = static_cast<std::uint16_t>(last);
+    slot.budget_depth_known = true;
   }
 }
 
-void DistanceOracle::ensure_depth(Row& row, NodeId source, Hop d) const {
+void DistanceOracle::ensure_depth(Scratch& slot, Hop d) const {
   // The stored row never grows past the budget horizon: once the budget
   // depth is known, deeper shell/ball queries stream from the frontier
-  // (stream_beyond) instead of materializing levels into the cache.
-  while (!row.complete && !row.budget_depth_known &&
-         row.level_end.size() <= d) {
-    extend_row(row, source);
+  // (stream_beyond) instead of storing levels.
+  while (!slot.complete && !slot.budget_depth_known &&
+         slot.level_end.size() <= d) {
+    extend_row(slot);
   }
 }
 
 void DistanceOracle::stream_beyond(
-    const Row& row, NodeId source, Hop target,
+    Scratch& slot, Hop target,
     FunctionRef<bool(Hop, std::span<NodeId>)> fn) const {
-  if (row.complete) return;
-  bind_marks(row, source);
-  // Streamed levels go one after another into the reused scratch, each
+  if (slot.complete) return;
+  // Streamed levels go one after another into the reused buffer, each
   // grown from the one before it by index (push_back may reallocate).
-  // BFS level sets do not depend on intra-level order.
-  std::vector<NodeId>& levels = stream_levels_;
+  // BFS level sets do not depend on intra-level order. As in extend_row a
+  // node is stored before it is marked, so the buffer lists every node the
+  // stream marked, and the marks hold the row alone again once the stream
+  // ends — however it ends.
+  std::vector<NodeId>& levels = slot.stream;
   levels.clear();
-  auto depth = static_cast<Hop>(row.level_end.size());
+  struct Unmark {
+    Scratch& slot;
+    ~Unmark() {
+      for (const NodeId v : slot.stream) slot.marks[v] = kUnreached;
+    }
+  } unmark{slot};
+  auto depth = static_cast<Hop>(slot.level_end.size());
   const auto expand = [&](NodeId u) {
     for (const std::uint32_t v : graph_->neighbors(u)) {
-      if (mark_depth_[v] == kUnreached) {
-        mark_depth_[v] = static_cast<std::uint16_t>(depth);
-        mark_nodes_.push_back(v);
+      if (slot.marks[v] == kUnreached) {
         levels.push_back(v);
+        slot.marks[v] = static_cast<std::uint16_t>(depth);
       }
     }
   };
-  if (depth > kMaxStorableHops) throw_depth_overflow(source);
-  for (const NodeId u : level_of(row, depth - 1)) expand(u);
+  if (depth > kMaxStorableHops) throw_depth_overflow(slot.origin);
+  for (const NodeId u : level_of(slot, depth - 1)) expand(u);
   std::size_t begin = 0;
   while (levels.size() > begin) {
     const std::size_t end = levels.size();
@@ -360,43 +440,35 @@ void DistanceOracle::stream_beyond(
         depth >= target) {
       break;
     }
-    if (++depth > kMaxStorableHops) throw_depth_overflow(source);
+    if (++depth > kMaxStorableHops) throw_depth_overflow(slot.origin);
     for (std::size_t i = begin; i < end; ++i) expand(levels[i]);
     begin = end;
   }
-  // The marks now carry streamed levels the stored row does not own;
-  // force a clean rebind before the next marked query.
-  mark_owner_ = kInvalidNode;
 }
 
-void DistanceOracle::ensure_budget_depth(Row& row, NodeId source) const {
-  while (!row.budget_depth_known) extend_row(row, source);
+void DistanceOracle::ensure_budget_depth(Scratch& slot) const {
+  while (!slot.budget_depth_known) extend_row(slot);
 }
 
 Hop DistanceOracle::budget_ball_depth(NodeId u) const {
   PROXCACHE_REQUIRE(u < n_, "node id out of range");
   if (dense_) return diameter_;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  Row& row = row_for(u);
-  ensure_budget_depth(row, u);
-  return row.budget_depth;
+  const Lease lease(*this, u);
+  ensure_budget_depth(*lease);
+  return (*lease).budget_depth;
 }
 
-std::optional<Hop> DistanceOracle::budget_ball_lookup(Row& row,
-                                                      NodeId source,
+std::optional<Hop> DistanceOracle::budget_ball_lookup(Scratch& slot,
                                                       NodeId v) const {
   // Lazy budget-ball growth: stop as soon as `v` turns up. A node found
   // before the budget is met is inside B*(u) by definition, so the answer
   // is identical to the eager build — just without paying for the full
   // budget ball when `v` is close.
   while (true) {
-    const std::uint16_t d = mark_depth_[v];
-    if (d != kUnreached &&
-        (!row.budget_depth_known || d <= row.budget_depth)) {
-      return static_cast<Hop>(d);
-    }
-    if (row.budget_depth_known) return std::nullopt;
-    extend_row(row, source);
+    const std::uint16_t d = slot.marks[v];
+    if (d != kUnreached) return static_cast<Hop>(d);
+    if (slot.budget_depth_known) return std::nullopt;
+    extend_row(slot);
   }
 }
 
@@ -422,8 +494,7 @@ void DistanceOracle::distances(NodeId u, std::span<const NodeId> ids,
   }
   bool bounded = false;
   {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    Row* row = nullptr;  // found at the first id other than `u`
+    std::optional<Lease> lease;  // taken at the first id other than `u`
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const NodeId v = ids[i];
       PROXCACHE_REQUIRE(v < n_, "node id out of range");
@@ -431,22 +502,19 @@ void DistanceOracle::distances(NodeId u, std::span<const NodeId> ids,
         out[i] = 0;
         continue;
       }
-      if (row == nullptr) {
-        row = &row_for(u);
-        bind_marks(*row, u);
-      }
-      if (const auto exact = budget_ball_lookup(*row, u, v)) {
-        ++stats_.exact_answers;
+      if (!lease) lease.emplace(*this, u);
+      Scratch& slot = **lease;
+      if (const auto exact = budget_ball_lookup(slot, v)) {
+        ++slot.stats.exact_answers;
         out[i] = *exact;
       } else {
-        ++stats_.landmark_answers;
+        ++slot.stats.landmark_answers;
         out[i] = kUnboundedRadius;
         bounded = true;
       }
     }
   }
   if (!bounded) return;
-  // The landmark tables are immutable: the bounds need no lock.
   const std::uint16_t* origin =
       landmark_dist_.data() + std::size_t{u} * landmarks_.size();
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -459,10 +527,8 @@ std::optional<Hop> DistanceOracle::certified_distance(NodeId u,
   PROXCACHE_REQUIRE(u < n_ && v < n_, "node id out of range");
   if (dense_) return dense_distance(u, v);
   if (u == v) return 0;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  Row& row = row_for(u);
-  bind_marks(row, u);
-  return budget_ball_lookup(row, u, v);
+  const Lease lease(*this, u);
+  return budget_ball_lookup(*lease, v);
 }
 
 void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {
@@ -476,19 +542,19 @@ void DistanceOracle::visit_shell(NodeId u, Hop d, OracleNodeVisitor fn) const {
     }
     return;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  Row& row = row_for(u);
-  ensure_depth(row, u, d);
+  const Lease lease(*this, u);
+  Scratch& slot = *lease;
+  ensure_depth(slot, d);
   // Shells come out in increasing node-id order, the dense row scan's,
-  // sorted in the stream scratch: a stored level as a copy (the row keeps
+  // sorted in the stream buffer: a stored level as a copy (the row keeps
   // its discovery order), a streamed one where it was streamed.
   std::span<NodeId> shell;
-  if (d < row.level_end.size()) {
-    const auto level = level_of(row, d);
-    stream_levels_.assign(level.begin(), level.end());
-    shell = stream_levels_;
+  if (d < slot.level_end.size()) {
+    const auto level = level_of(slot, d);
+    slot.stream.assign(level.begin(), level.end());
+    shell = slot.stream;
   } else {
-    stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
+    stream_beyond(slot, d, [&](Hop depth, std::span<NodeId> level) {
       if (depth == d) shell = level;
       return true;
     });
@@ -505,7 +571,7 @@ void DistanceOracle::walk_shells(NodeId u, Hop max_d,
                     "node id out of range");
   if (dense_) {
     // Scan the sorted candidates per shell: id order, the row scan's. The
-    // dense regime takes no lock, so the hits live on this call.
+    // dense regime holds no slot, so the hits live on this call.
     const std::uint16_t* row = dense_dist_.data() + std::size_t{u} * n_;
     const Hop top = std::min(max_d, diameter_);
     std::vector<NodeId> hits;
@@ -518,42 +584,41 @@ void DistanceOracle::walk_shells(NodeId u, Hop max_d,
     }
     return;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  Row& row = row_for(u);
+  const Lease lease(*this, u);
+  Scratch& slot = *lease;
   // Stored levels grow exactly as a `visit_shell` per depth grows them;
   // past the horizon, one stream carries the walk to its end.
   for (Hop d = 0; d <= max_d; ++d) {
-    ensure_depth(row, u, d);
-    if (d >= row.level_end.size()) {
-      stream_beyond(row, u, max_d, [&](Hop depth, std::span<NodeId> level) {
-        return fn(depth, level_hits(level, depth, candidates));
+    ensure_depth(slot, d);
+    if (d >= slot.level_end.size()) {
+      stream_beyond(slot, max_d, [&](Hop depth, std::span<NodeId> level) {
+        return fn(depth, level_hits(slot, level, depth, candidates));
       });
       return;
     }
-    const auto level = level_of(row, d);
-    if (level.size() >= candidates.sorted.size()) bind_marks(row, u);
-    if (!fn(d, level_hits(level, d, candidates))) return;
+    if (!fn(d, level_hits(slot, level_of(slot, d), d, candidates))) return;
   }
 }
 
 std::span<const NodeId> DistanceOracle::level_hits(
-    std::span<const NodeId> level, Hop d,
+    Scratch& slot, std::span<const NodeId> level, Hop d,
     const ShellCandidates& candidates) const {
-  hits_.clear();
+  std::vector<NodeId>& hits = slot.hits;
+  hits.clear();
   if (level.size() < candidates.sorted.size()) {
     // The level is in discovery order: filter it, then order the hits.
     for (const NodeId v : level) {
-      if (candidates.contains(v)) hits_.push_back(v);
+      if (candidates.contains(v)) hits.push_back(v);
     }
-    std::sort(hits_.begin(), hits_.end());
+    std::sort(hits.begin(), hits.end());
   } else {
     // The marks know every depth through d: the sorted candidates at
     // depth d are the level's hits, already in id order.
     for (const NodeId v : candidates.sorted) {
-      if (mark_depth_[v] == d) hits_.push_back(v);
+      if (slot.marks[v] == d) hits.push_back(v);
     }
   }
-  return hits_;
+  return hits;
 }
 
 std::size_t DistanceOracle::shell_size(NodeId u, Hop d) const {
@@ -568,12 +633,12 @@ std::size_t DistanceOracle::shell_size(NodeId u, Hop d) const {
     }
     return count;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  Row& row = row_for(u);
-  ensure_depth(row, u, d);
-  if (d < row.level_end.size()) return level_of(row, d).size();
+  const Lease lease(*this, u);
+  Scratch& slot = *lease;
+  ensure_depth(slot, d);
+  if (d < slot.level_end.size()) return level_of(slot, d).size();
   std::size_t count = 0;
-  stream_beyond(row, u, d, [&](Hop depth, std::span<NodeId> level) {
+  stream_beyond(slot, d, [&](Hop depth, std::span<NodeId> level) {
     if (depth == d) count = level.size();
     return true;
   });
@@ -591,13 +656,13 @@ std::size_t DistanceOracle::ball_size(NodeId u, Hop r) const {
     }
     return count;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  Row& row = row_for(u);
-  ensure_depth(row, u, r);
-  const std::size_t top = std::min<std::size_t>(r, row.level_end.size() - 1);
-  std::size_t count = row.level_end[top];
-  if (r >= row.level_end.size()) {
-    stream_beyond(row, u, r, [&](Hop depth, std::span<NodeId> level) {
+  const Lease lease(*this, u);
+  Scratch& slot = *lease;
+  ensure_depth(slot, r);
+  const std::size_t top = std::min<std::size_t>(r, slot.level_end.size() - 1);
+  std::size_t count = slot.level_end[top];
+  if (r >= slot.level_end.size()) {
+    stream_beyond(slot, r, [&](Hop depth, std::span<NodeId> level) {
       (void)depth;
       count += level.size();
       return true;
@@ -607,12 +672,12 @@ std::size_t DistanceOracle::ball_size(NodeId u, Hop r) const {
 }
 
 std::size_t DistanceOracle::cached_entries() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock(slots_mutex_);
   return cached_entries_;
 }
 
 DistanceOracle::Stats DistanceOracle::stats() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::lock_guard<std::mutex> lock(slots_mutex_);
   return stats_;
 }
 

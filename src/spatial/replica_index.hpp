@@ -15,7 +15,7 @@
 ///    replica, testing every node with `Placement::caches` (a binary
 ///    search), and finish that shell for ties. Off the lattice it is one
 ///    `Topology::walk_shells` call. On a sparse graph that walk is one BFS
-///    under one lock hold, levels past the budget horizon streamed once,
+///    on one scratch slot, levels past the budget horizon streamed once,
 ///    and each level costs min(|level|·log M, |S_j|): a level shorter than
 ///    the replica list is filtered through `caches` and only its hits are
 ///    sorted, a longer one is answered by scanning the list against the
@@ -259,9 +259,9 @@ class ReplicaIndex {
   /// packed coordinates one vectorized pass computes a chunk's distances;
   /// other lattice files use the lattice kernel (devirtualized — Lattice
   /// is final). Other topologies answer a chunk with one
-  /// `Topology::distances` batch, in list order: a sparse oracle takes
-  /// its lock, finds the origin's row and binds its marks once per chunk,
-  /// and sees the queries of a plain scan.
+  /// `Topology::distances` batch, in list order: a sparse oracle leases a
+  /// scratch slot and finds the origin's row once per chunk, and sees the
+  /// queries of a plain scan.
   template <typename Fn>
   void for_each_distance_chunk(NodeId u, FileId j, Fn&& fn) const {
     const auto list = placement_->replicas(j);

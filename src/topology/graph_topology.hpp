@@ -8,10 +8,11 @@
 ///    the historical dense all-pairs `uint16` matrix — O(1) exact queries,
 ///    bit-identical to the pre-oracle behavior, so every existing golden
 ///    master is preserved;
-///  * large graphs switch to on-demand truncated BFS rows (LRU-cached) plus
-///    landmark upper bounds for far pairs — memory proportional to what
-///    queries visit, which is what lets graph-backed topologies reach
-///    n = 10⁶–10⁷.
+///  * large graphs switch to on-demand truncated BFS rows (one per
+///    concurrent caller, in its own scratch slot) plus landmark upper
+///    bounds for far pairs — memory linear in n, which is what lets
+///    graph-backed topologies reach n = 10⁶–10⁷, and queries that run in
+///    parallel.
 ///
 /// This is the backing for irregular networks; the built-in random
 /// geometric graph (`make_rgg_topology`) models servers scattered in the
@@ -42,7 +43,7 @@ class GraphTopology final : public Topology {
   /// graph. Below `options.dense_threshold` nodes this costs O(V·(V+E))
   /// construction and O(V²) memory (the exact dense regime); above it,
   /// construction is `num_landmarks` BFS passes and memory is O(k·V) plus
-  /// the bounded row cache.
+  /// one O(V + ball budget) scratch slot per concurrent caller.
   GraphTopology(CompactGraph graph, std::string description,
                 Options options = Options{});
 
@@ -59,11 +60,11 @@ class GraphTopology final : public Topology {
   [[nodiscard]] Hop diameter() const override { return oracle_.diameter(); }
 
   /// Exact shell in increasing node-id order (deterministic in both oracle
-  /// regimes): a row scan when dense, the cached BFS level when sparse.
+  /// regimes): a row scan when dense, a sorted BFS level when sparse.
   void visit_shell(NodeId u, Hop d, NodeVisitor fn) const override;
 
-  /// The oracle's walk: one lock hold and one BFS per walk when sparse,
-  /// `fn` running under the oracle's mutex.
+  /// The oracle's walk: one scratch slot and one BFS per walk when sparse,
+  /// `fn` running while the walk holds the slot.
   void walk_shells(NodeId u, Hop max_d, const ShellCandidates& candidates,
                    ShellHitVisitor fn) const override {
     oracle_.walk_shells(u, max_d, candidates, fn);

@@ -59,7 +59,7 @@ class Topology {
 
   /// `out[i] = distance(u, ids[i])` for every `i`; `out` is as long as
   /// `ids`. The default loops `distance`; a topology whose queries share
-  /// per-origin work (the sparse distance oracle's lock and row lookup)
+  /// per-origin work (the sparse distance oracle's slot lease and row)
   /// answers the whole batch at once.
   virtual void distances(NodeId u, std::span<const NodeId> ids,
                          std::span<Hop> out) const;
@@ -76,12 +76,10 @@ class Topology {
   /// Walk the shells of `u` outward: `fn(d, hits)` for d = 0, 1, …, up to
   /// `max_d`, with `hits` the candidates at distance exactly `d` in
   /// `visit_shell`'s order, until `fn` returns false. The walk may end
-  /// early once no node lies past `d`. `fn` may run under the topology's
-  /// internal lock (the sparse distance oracle's) and must not query the
-  /// topology. The default filters `visit_shell(u, d)` through
-  /// `candidates.contains`, shell by shell; the sparse oracle walks its BFS
-  /// once, reading per shell whichever of `candidates`' two forms is
-  /// shorter.
+  /// early once no node lies past `d`. The default filters
+  /// `visit_shell(u, d)` through `candidates.contains`, shell by shell; the
+  /// sparse oracle walks its BFS once, reading per shell whichever of
+  /// `candidates`' two forms is shorter.
   virtual void walk_shells(NodeId u, Hop max_d,
                            const ShellCandidates& candidates,
                            ShellHitVisitor fn) const;

@@ -1,9 +1,10 @@
 // Scalable distance layer (graph/distance_oracle.hpp): the sparse regime
 // (on-demand truncated BFS + landmark upper bounds) must agree with the
 // dense all-pairs matrix wherever it claims exactness, answer
-// history-independently (no query order, eviction, or cache effect may
-// change a result), keep shells exact and id-sorted in both regimes, walk
-// them filtered by candidates exactly as per-shell queries would, and
+// history-independently (no query order, row replacement or thread
+// interleaving may change a result), keep shells exact and id-sorted in
+// both regimes, walk them filtered by candidates exactly as per-shell
+// queries would, answer four threads at once as it answers one, and
 // reject over-deep graphs with a user-facing error instead of an internal
 // assertion. The landmark approximation is checked against exact BFS on
 // every registered topology at small n.
@@ -13,11 +14,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -232,14 +236,14 @@ TEST(DistanceOracle, WalkShellsMatchesFilteredShellsInBothRegimes) {
   };
 
   // The dense regime, then ball budgets as in the shell test: 8 streams
-  // nearly every shell, 120 stores three levels, n stores every level. The
-  // small row cache makes the origins evict one another.
+  // nearly every shell, 120 stores three levels, n stores every level. A
+  // new origin replaces the row of the oracle's one slot, so the origins
+  // evict one another.
   std::vector<std::pair<std::string, DistanceOracle::Options>> regimes = {
       {"dense", DistanceOracle::Options{}}};
   for (const std::size_t budget : {std::size_t{8}, std::size_t{120}, n}) {
     DistanceOracle::Options options = sparse_exact_options(n);
     options.distance_ball_budget = budget;
-    options.cache_entry_budget = 2 * n;
     regimes.emplace_back("budget " + std::to_string(budget), options);
   }
   std::size_t filtered_levels = 0;  // level shorter than the candidates
@@ -287,10 +291,11 @@ TEST(DistanceOracle, BatchedDistancesMatchPerPairQueries) {
   const auto rgg = make_rgg_topology(200, 0.12, 8);
   const CompactGraph& graph = rgg->graph();
   const std::size_t n = graph.num_vertices();
+  // Sparse, with constant eviction churn: every origin below replaces
+  // the row its predecessor left in the slot.
   DistanceOracle::Options churned;
   churned.dense_threshold = 0;
   churned.distance_ball_budget = 24;  // most far pairs go to landmarks
-  churned.cache_entry_budget = 64;    // constant eviction churn
   const DistanceOracle truth(graph, sparse_exact_options(n));
 
   for (const DistanceOracle::Options& options :
@@ -387,7 +392,9 @@ TEST(DistanceOracle, BatchedDistancesMatchPerPairQueries) {
                 0u)
           << "the dense regime keeps no counters";
     } else {
-      EXPECT_GT(stats.rows_evicted, 0u) << "the cache budget must churn";
+      EXPECT_GT(stats.rows_evicted, 0u) << "new origins must replace rows";
+      EXPECT_EQ(stats.rows_built, stats.rows_evicted + 1)
+          << "a serial caller keeps one slot, so one row stays resident";
       EXPECT_GT(stats.landmark_answers, 0u);
       EXPECT_GT(straddling, 0u) << "some batches must straddle the horizon";
     }
@@ -414,12 +421,12 @@ TEST(DistanceOracle, AnswersAreHistoryIndependent) {
   DistanceOracle::Options options;
   options.dense_threshold = 0;
   options.distance_ball_budget = 24;  // most far pairs go to landmarks
-  options.cache_entry_budget = 64;    // constant eviction churn
   const DistanceOracle churned(graph, options);
 
   // Warm the churned oracle through an adversarial access pattern: deep
-  // shell walks (rows grown far beyond the budget ball), then scattered
-  // distance queries that evict those rows repeatedly.
+  // shell walks (streamed far beyond the budget ball), then scattered
+  // distance queries, each from a new origin that replaces the row the
+  // last one left.
   for (NodeId u = 0; u < n; u += 7) {
     (void)churned.ball_size(u, churned.diameter());
   }
@@ -427,11 +434,11 @@ TEST(DistanceOracle, AnswersAreHistoryIndependent) {
     (void)churned.distance(u, (u * 31 + 5) % n);
   }
   EXPECT_GT(churned.stats().rows_evicted, 0u)
-      << "the tiny cache budget must actually churn";
+      << "every new origin must replace the slot's row";
 
   // Every answer must equal the one a *fresh* oracle gives first thing:
   // exactness is a function of the graph and the budget, never of what
-  // was asked before or what the LRU kept.
+  // was asked before or which row the slot kept.
   const DistanceOracle fresh(graph, options);
   for (NodeId u = 0; u < n; u += 3) {
     for (NodeId v = 0; v < n; v += 5) {
@@ -441,6 +448,143 @@ TEST(DistanceOracle, AnswersAreHistoryIndependent) {
                 fresh.certified_distance(u, v).has_value())
           << "exactness horizon drifted for (" << u << ", " << v << ")";
     }
+  }
+}
+
+/// Every value a script of oracle queries saw, in order, with markers
+/// that no node id or hop count can equal.
+using Transcript = std::vector<std::uint64_t>;
+constexpr std::uint64_t kThrew = ~std::uint64_t{0};
+constexpr std::uint64_t kUncertified = kThrew - 1;
+constexpr std::uint64_t kEndOfShell = kThrew - 2;
+
+TEST(DistanceOracle, ConcurrentQueriesMatchASerialReference) {
+  const auto rgg = make_rgg_topology(200, 0.12, 8);
+  const CompactGraph& graph = rgg->graph();
+  const auto n = static_cast<NodeId>(graph.num_vertices());
+  constexpr std::size_t kThreads = 4;
+
+  // Thread t's script: every call from a new origin, cycling through the
+  // sparse queries, with walks, shells and balls reaching past the
+  // horizon. Thread 0 passes an out-of-range id partway through a batch
+  // that already holds its slot; thread 1's walk visitor throws on its
+  // first streamed level. Both calls throw, and the scripts go on.
+  const auto script = [n](const DistanceOracle& oracle, std::size_t t) {
+    std::vector<bool> member(n, false);
+    std::vector<NodeId> sorted;
+    for (NodeId v = 0; v < n; ++v) {
+      if (v % (t + 3) == 1) {
+        member[v] = true;
+        sorted.push_back(v);
+      }
+    }
+    const auto contains = [&member](NodeId v) { return bool(member[v]); };
+    const Hop top = oracle.diameter() + 1;
+    Transcript seen;
+    for (std::size_t i = 0; i < 490; ++i) {
+      const auto u = static_cast<NodeId>((i * 53 + t * 101) % n);
+      const auto v = static_cast<NodeId>((i * 29 + t * 7 + 1) % n);
+      const auto d = static_cast<Hop>((i + t) % top);
+      switch (i % 7) {
+        case 0: {
+          std::vector<NodeId> ids;
+          for (NodeId k = 0; k < 64; ++k) ids.push_back((v + k * 13) % n);
+          if (t == 0 && i == 70) ids[5] = n;
+          std::vector<Hop> out(ids.size());
+          try {
+            oracle.distances(u, ids, out);
+            seen.insert(seen.end(), out.begin(), out.end());
+          } catch (const std::invalid_argument&) {
+            seen.push_back(kThrew);
+          }
+          break;
+        }
+        case 1:
+          seen.push_back(oracle.distance(u, v));
+          break;
+        case 2: {
+          const std::optional<Hop> certified = oracle.certified_distance(u, v);
+          seen.push_back(certified ? *certified : kUncertified);
+          break;
+        }
+        case 3: {
+          const bool throws = t == 1 && i == 73;
+          const Hop horizon = oracle.budget_ball_depth(u);
+          try {
+            oracle.walk_shells(u, top, {sorted, contains},
+                               [&](Hop depth, std::span<const NodeId> hits) {
+                                 if (throws && depth > horizon) {
+                                   throw std::runtime_error("visitor");
+                                 }
+                                 seen.push_back(depth);
+                                 seen.insert(seen.end(), hits.begin(),
+                                             hits.end());
+                                 seen.push_back(kEndOfShell);
+                                 return throws || depth < d;
+                               });
+          } catch (const std::runtime_error&) {
+            seen.push_back(kThrew);
+          }
+          break;
+        }
+        case 4:
+          oracle.visit_shell(u, d, [&](NodeId w) { seen.push_back(w); });
+          seen.push_back(kEndOfShell);
+          break;
+        case 5:
+          seen.push_back(oracle.ball_size(u, d));
+          break;
+        default:
+          seen.push_back(oracle.budget_ball_depth(u));
+          break;
+      }
+    }
+    return seen;
+  };
+
+  // Ball budgets 8 and 120, as in the shell test: walks and shells stream
+  // past a horizon at depth 0 to 2.
+  for (const std::size_t budget : {std::size_t{8}, std::size_t{120}}) {
+    DistanceOracle::Options options;
+    options.dense_threshold = 0;
+    options.distance_ball_budget = budget;
+    const std::string label = "budget " + std::to_string(budget);
+    const DistanceOracle reference(graph, options);
+    std::vector<Transcript> expected;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      expected.push_back(script(reference, t));
+    }
+
+    const DistanceOracle shared(graph, options);
+    std::vector<Transcript> seen(kThreads);
+    {
+      std::latch start(kThreads);
+      std::vector<std::jthread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          seen[t] = script(shared, t);
+        });
+      }
+    }
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], expected[t])
+          << label << ": thread " << t << " saw other answers, shells or hit "
+          << "orders than the serial reference";
+    }
+    EXPECT_EQ(std::count(seen[0].begin(), seen[0].end(), kThrew), 1) << label;
+    EXPECT_EQ(std::count(seen[1].begin(), seen[1].end(), kThrew), 1) << label;
+
+    // Each lease folded its counters in as it ended, the two that threw
+    // too: the answers split between the ball and the landmarks as the
+    // reference's did. Resident entries <= slots × distance_ball_budget,
+    // with at most one slot per thread.
+    const DistanceOracle::Stats a = shared.stats();
+    const DistanceOracle::Stats b = reference.stats();
+    EXPECT_EQ(a.exact_answers, b.exact_answers) << label;
+    EXPECT_EQ(a.landmark_answers, b.landmark_answers) << label;
+    EXPECT_GT(a.landmark_answers, 0u) << label;
+    EXPECT_LE(shared.cached_entries(), kThreads * budget) << label;
   }
 }
 
@@ -560,23 +704,29 @@ TEST(DistanceOracle, DisconnectedGraphsAreRejectedInBothRegimes) {
                std::invalid_argument);
 }
 
-TEST(DistanceOracle, LruEvictionKeepsMemoryBoundedWithoutChangingAnswers) {
+TEST(DistanceOracle, NewOriginsReplaceTheRowWithoutChangingAnswers) {
   const auto rgg = make_rgg_topology(160, 0.15, 30);
   const CompactGraph& graph = rgg->graph();
   const std::size_t n = graph.num_vertices();
-  DistanceOracle::Options options = sparse_exact_options(n);
-  options.cache_entry_budget = 2 * n;  // room for ~2 full rows
-  const DistanceOracle oracle(graph, options);
+  const DistanceOracle oracle(graph, sparse_exact_options(n));
   const DistanceOracle reference(graph, sparse_exact_options(n));
 
+  // Every query comes from a new origin, whose row replaces the one the
+  // last query left in the serial caller's slot.
+  const auto far = [n](NodeId u) { return static_cast<NodeId>((u + n / 2) % n); };
   for (NodeId u = 0; u < n; ++u) {
-    EXPECT_EQ(oracle.distance(u, (u + n / 2) % n),
-              reference.distance(u, (u + n / 2) % n));
+    EXPECT_EQ(oracle.distance(u, far(u)), reference.distance(u, far(u)));
   }
   const DistanceOracle::Stats stats = oracle.stats();
   EXPECT_EQ(stats.rows_built, static_cast<std::uint64_t>(n));
-  EXPECT_GT(stats.rows_evicted, 0u);
+  EXPECT_EQ(stats.rows_evicted, static_cast<std::uint64_t>(n - 1));
   EXPECT_EQ(stats.landmark_answers, 0u);
+  // Resident entries <= slots × distance_ball_budget: one slot here,
+  // holding the last origin's ball, grown until the queried node turned up.
+  const NodeId last = static_cast<NodeId>(n - 1);
+  EXPECT_EQ(oracle.cached_entries(),
+            reference.ball_size(last, reference.distance(last, far(last))));
+  EXPECT_LE(oracle.cached_entries(), oracle.options().distance_ball_budget);
 }
 
 TEST(DistanceOracle, DeepBallWalksStreamWithoutGrowingResidentRows) {
@@ -587,16 +737,17 @@ TEST(DistanceOracle, DeepBallWalksStreamWithoutGrowingResidentRows) {
   DistanceOracle::Options options;
   options.dense_threshold = 0;
   options.distance_ball_budget = 16;
-  // Roomy for budget-truncated rows but far below what n full BFS rows
-  // would need — if a deep walk ever materialized whole rows again, the
-  // LRU would fire and the eviction counter below would catch it.
-  options.cache_entry_budget = n * 64;
   const DistanceOracle sparse(graph, options);
 
   // A diameter-deep ball walk from every source stays exact (every node
-  // visited exactly once per source across the shells)...
+  // visited exactly once per source across the shells), while resident
+  // memory stays at the budget horizon: streamed levels never enter the
+  // row, so the serial caller's one slot holds at most
+  // slots × distance_ball_budget = 16 entries after every walk.
   for (NodeId u = 0; u < n; ++u) {
     ASSERT_EQ(sparse.ball_size(u, dense.diameter()), n) << "source " << u;
+    ASSERT_LE(sparse.cached_entries(), options.distance_ball_budget)
+        << "source " << u;
   }
   for (const NodeId u : {static_cast<NodeId>(0), static_cast<NodeId>(n / 3)}) {
     std::size_t visited = 0;
@@ -611,13 +762,11 @@ TEST(DistanceOracle, DeepBallWalksStreamWithoutGrowingResidentRows) {
     EXPECT_EQ(visited, n) << "shells of " << u << " must partition the graph";
   }
 
-  // ...while resident memory stays at the budget horizon: streamed levels
-  // never enter the cache, so no row exceeds the ball budget and nothing
-  // is ever evicted.
-  EXPECT_LE(sparse.cached_entries(), n * options.distance_ball_budget);
-  EXPECT_EQ(sparse.stats().rows_built, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(sparse.stats().rows_evicted, 0u)
-      << "deep ball walks must not blow the row cache past its budget";
+  // One row per origin change: n sources, then 0 and n / 3 again, each
+  // replacing the row before it.
+  EXPECT_LE(sparse.cached_entries(), options.distance_ball_budget);
+  EXPECT_EQ(sparse.stats().rows_built, static_cast<std::uint64_t>(n + 2));
+  EXPECT_EQ(sparse.stats().rows_evicted, static_cast<std::uint64_t>(n + 1));
 }
 
 }  // namespace

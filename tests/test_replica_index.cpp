@@ -612,7 +612,6 @@ TEST(ReplicaIndex, ShellWalksMatchThePerShellLoopOffTheLattice) {
     GraphTopology::Options options;
     options.dense_threshold = 0;
     options.distance_ball_budget = budget;
-    options.cache_entry_budget = 4096;
     const std::string suffix = ", budget " + std::to_string(budget);
     cases.push_back({"rgg" + suffix, make_rgg_topology(600, 0.07, 5, options),
                      make_rgg_topology(600, 0.07, 5, options)});

@@ -3,18 +3,24 @@
 // exactness, the dense fallback below the size threshold must stay
 // bit-identical across construction routes (the golden-master guarantee),
 // the ball-walk replica queries on sparse topologies must agree with brute
-// force, the hyperbolic topology locks its own determinism golden, and the
-// sharded engine must run clean over the mutex-guarded sparse oracle.
+// force, the hyperbolic topology locks its own determinism golden, and
+// replications on a pool and the sharded engine's lanes, all querying one
+// sparse oracle at once, must give what they give one at a time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/placement.hpp"
 #include "core/experiment.hpp"
 #include "core/simulation.hpp"
+#include "parallel/thread_pool.hpp"
 #include "spatial/replica_index.hpp"
 #include "topology/graph_topology.hpp"
 #include "topology/hyperbolic.hpp"
@@ -261,17 +267,88 @@ TEST(ScalableTopology, HyperbolicGoldenMaster) {
   EXPECT_DOUBLE_EQ(golden.comm_cost, 1.93359375);
 }
 
+TEST(ScalableTopology, ReplicationsMatchAcrossPoolWidthsOnSparseGraphs) {
+  // Four pool workers run replications over one sparse oracle at once,
+  // each query on a scratch slot of its own (TSan covers the interleavings
+  // in the sanitizer CI job). A ball budget of 24 keeps the horizon
+  // shallow, so shell and ball walks stream past it and radius queries
+  // past it scan replica lists in `distances` batches.
+  GraphTopology::Options options;
+  options.dense_threshold = 0;
+  options.distance_ball_budget = 24;
+  const std::vector<std::pair<std::string, std::shared_ptr<const GraphTopology>>>
+      graphs = {
+          {"rgg(n=300, radius=0.1, seed=9)",
+           make_rgg_topology(300, 0.1, 9, options)},
+          {"hyperbolic(n=300, degree=8, alpha=0.75, seed=5)",
+           make_hyperbolic_topology(300, 8.0, 0.75, 5, options)}};
+  ThreadPool single(1);
+  ThreadPool quad(4);
+  for (const auto& [spec, graph] : graphs) {
+    ASSERT_FALSE(graph->oracle().exact()) << spec;
+    for (const char* strategy : {"nearest", "two-choice(r=5)",
+                                 "least-loaded(r=5)",
+                                 "prox-weighted(d=2, alpha=1)"}) {
+      ExperimentConfig config;
+      config.topology_spec = parse_topology_spec(spec);
+      config.num_files = 40;
+      config.cache_size = 5;
+      config.popularity.kind = PopularityKind::Uniform;
+      config.strategy_spec = parse_strategy_spec(strategy);
+      config.num_requests = 1500;
+      config.seed = 0x5CA1E;
+      const SimulationContext context(config, graph);
+      const std::string label = spec + " / " + strategy;
+      const std::size_t runs = 8;
+
+      // Per replication: each run on the 4-worker pool against the same
+      // run made serially.
+      std::vector<std::future<RunResult>> wide;
+      for (std::size_t i = 0; i < runs; ++i) {
+        wide.push_back(quad.submit([&context, i] { return context.run(i); }));
+      }
+      for (std::size_t i = 0; i < runs; ++i) {
+        const RunResult a = context.run(i);
+        const RunResult b = wide[i].get();
+        const std::string where = label + ", run " + std::to_string(i);
+        EXPECT_EQ(a.max_load, b.max_load) << where;
+        EXPECT_EQ(a.comm_cost, b.comm_cost) << where;
+        EXPECT_EQ(a.requests, b.requests) << where;
+        EXPECT_EQ(a.fallbacks, b.fallbacks) << where;
+        EXPECT_EQ(a.resampled, b.resampled) << where;
+        EXPECT_EQ(a.dropped, b.dropped) << where;
+        EXPECT_EQ(a.load_histogram.counts(), b.load_histogram.counts())
+            << where;
+      }
+
+      // And through `run_experiment` at pool widths 1 and 4.
+      const ExperimentResult narrow = run_experiment(context, runs, &single);
+      const ExperimentResult four = run_experiment(context, runs, &quad);
+      EXPECT_EQ(narrow.max_load.mean(), four.max_load.mean()) << label;
+      EXPECT_EQ(narrow.max_load.variance(), four.max_load.variance())
+          << label;
+      EXPECT_EQ(narrow.comm_cost.mean(), four.comm_cost.mean()) << label;
+      EXPECT_EQ(narrow.comm_cost.variance(), four.comm_cost.variance())
+          << label;
+      EXPECT_EQ(narrow.fallback_rate, four.fallback_rate) << label;
+      EXPECT_EQ(narrow.pooled_load_histogram.counts(),
+                four.pooled_load_histogram.counts())
+          << label;
+    }
+  }
+}
+
 TEST(ScalableTopology, ShardedEngineRunsCleanOverTheSparseOracle) {
-  // The split-phase engine proposes off-thread: concurrent queries against
-  // the mutex-guarded sparse row cache (TSan covers the interleavings in
-  // the sanitizer CI job). `nearest` walks shells and `two-choice(r=5)`
-  // walks balls, each walk one lock hold over the oracle's shared hit
-  // scratch; `prox-weighted` streams replica lists, one `distances` batch
-  // (and one lock hold) per 64 replicas. On the second graph a ball
-  // budget of 8 stores no row past depth 2, so the lanes' walks stream
-  // past the horizon. Results must be rerun-stable under the
-  // sharded seed contract, the second run over a cache the first one
-  // warmed.
+  // The split-phase engine proposes off-thread: concurrent queries on the
+  // sparse oracle, each lane on a scratch slot of its own (TSan covers the
+  // interleavings in the sanitizer CI job). `nearest` walks shells and
+  // `two-choice(r=5)` walks balls, each walk one slot lease with its hits
+  // in the slot's buffer; `prox-weighted` streams replica lists, one
+  // `distances` batch (and one lease) per 64 replicas. On the second graph
+  // a ball budget of 8 stores no row past depth 2, so the lanes' walks
+  // stream past the horizon. Results must be rerun-stable under the
+  // sharded seed contract, the second run over slots whose rows the first
+  // one left.
   ExperimentConfig config;
   config.topology_spec =
       parse_topology_spec("rgg(n=200, radius=0.12, seed=9)");
