@@ -121,8 +121,8 @@ struct DistanceOracle::IdleSlot {
 /// the one returned last, else a new slot — so the pool grows to the
 /// number of concurrent callers. A slot another core used last costs its
 /// marks and row in cache misses: four `prox-weighted` replications on a
-/// 32768-node rgg took 35% more CPU time on 4 workers when picks ignored
-/// the thread. The end of the lease, on an exception too, folds the
+/// 32768-node rgg took about a third more CPU time on 4 workers when
+/// picks ignored the thread. The end of the lease, on an exception too, folds the
 /// slot's counters and resident entries into the oracle's and returns the
 /// slot.
 class DistanceOracle::Lease {

@@ -8,8 +8,8 @@
 ///  * **dense / exact** (`n <= dense_threshold`): the historical all-pairs
 ///    BFS `uint16` matrix. O(n²) memory, O(1) queries, exact everywhere.
 ///    Every pre-existing golden master runs in this regime bit-identically.
-///  * **sparse / scalable** (`n > dense_threshold`): memory proportional to
-///    the number of concurrent callers, not to n² —
+///  * **sparse / scalable** (`n > dense_threshold`): memory O(n) per
+///    concurrent caller, never n² —
 ///      - *on-demand truncated BFS rows*: a query from a source `u` grows a
 ///        BFS ball around `u`, level by level, only as deep as the query
 ///        needs. Each caller works in a scratch slot of its own that keeps
@@ -43,11 +43,11 @@
 ///
 /// Thread safety: all queries are safe from multiple threads and run in
 /// parallel. After construction nothing shared changes but the pool of
-/// scratch slots and the counters. A sparse query leases a slot (taken
-/// under a mutex held only while a slot is picked, returned when the query
-/// ends), so the pool grows to the number of concurrent callers, each slot
-/// O(n) depth marks plus at most one budget ball. The dense regime takes
-/// no slot. A visitor callback runs while its query holds a slot; a query
+/// scratch slots and the counters. A sparse query leases a slot, under a
+/// mutex held only while the slot is picked and when it is returned at
+/// the query's end. The pool grows to the number of concurrent callers,
+/// each slot O(n) depth marks plus at most one budget ball. The dense
+/// regime takes no slot. A visitor callback runs while its query holds a slot; a query
 /// made from inside it leases another one.
 
 #include <cstdint>
@@ -173,6 +173,7 @@ class DistanceOracle {
   struct Scratch;
   /// Holds one slot for one query from one origin; see distance_oracle.cpp.
   class Lease;
+  /// An idle slot with the origin and the thread a pick prefers.
   struct IdleSlot;
 
   [[nodiscard]] Hop dense_distance(NodeId u, NodeId v) const {
