@@ -454,8 +454,9 @@ Hop DistanceOracle::budget_ball_depth(NodeId u) const {
   PROXCACHE_REQUIRE(u < n_, "node id out of range");
   if (dense_) return diameter_;
   const Lease lease(*this, u);
-  ensure_budget_depth(*lease);
-  return (*lease).budget_depth;
+  Scratch& slot = *lease;
+  ensure_budget_depth(slot);
+  return slot.budget_depth;
 }
 
 std::optional<Hop> DistanceOracle::budget_ball_lookup(Scratch& slot,
